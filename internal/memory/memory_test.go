@@ -103,3 +103,24 @@ func TestContextBlockCapsSummaries(t *testing.T) {
 		t.Errorf("context block includes %d summaries, want <= 5", lines)
 	}
 }
+
+// TestRecallTieBreaksByIDString: equal recall scores are ordered by the
+// "turn-%04d" ID compared as a string, so once a conversation passes
+// 9999 turns, turn-10000 sorts ahead of turn-2000. Embedding is
+// case-insensitive, so the two spellings below score identically.
+func TestRecallTieBreaksByIDString(t *testing.T) {
+	c := New(1)
+	for i := 1; i <= 10000; i++ {
+		switch i {
+		case 2000:
+			c.Add("Echo", "SAME")
+		case 10000:
+			c.Add("echo", "same")
+		default:
+			c.Add(fmt.Sprintf("filler %d", i), "x")
+		}
+	}
+	if got := c.Recall("echo same", 1); len(got) != 1 || got[0] != "echo same" {
+		t.Errorf("Recall = %q, want the turn-10000 text", got)
+	}
+}
