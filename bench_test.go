@@ -296,6 +296,36 @@ func BenchmarkEngineAskCached(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineAskCachedMemory is BenchmarkEngineAskCached on the
+// shape real traffic takes: every ask records its turn in session
+// memory. The session already holds 100, 1k or 10k prior turns (under
+// the default retention bound, so the longer runs cross its
+// compaction); recording must stay an append whatever the history.
+func BenchmarkEngineAskCachedMemory(b *testing.B) {
+	l := lab(b)
+	for _, prior := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("turns=%d", prior), func(b *testing.B) {
+			e, err := engine.New(engine.Config{Store: l.Store})
+			if err != nil {
+				b.Fatal(err)
+			}
+			req := engine.Request{SessionID: "bench", Question: engineBenchQuestion}
+			for i := 0; i < prior; i++ {
+				if _, err := e.Ask(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Ask(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEngineAskContended hammers a primed cache from all
 // goroutines at 1 shard (the PR 2 global-lock layout) and at one shard
 // per CPU — their ratio is the contention the sharded tables remove.

@@ -39,8 +39,9 @@
 //     fixed Shots; the engine keeps one memory-less generator shared by
 //     all sessions, which also makes every answer a pure function of
 //     (retriever, model, question).
-//   - memory.Conversation is not thread-safe; the engine owns one per
-//     session behind a per-session mutex.
+//   - memory.Conversation is not thread-safe, reads included (they fill
+//     its lazy vector cache); the engine owns one per session, the
+//     session's only turn log, behind a per-session mutex.
 //
 // The purity of the generate step is what makes the answer cache sound:
 // a cached answer is byte-identical to the one a fresh retrieval would
@@ -112,11 +113,12 @@
 //
 // # Allocation discipline
 //
-// The cached exact-hit path is allocation-free: an Ask that is served
-// from the exact tier with Options.NoMemory performs zero heap
-// allocations (TestCachedAskAllocs pins this; cmd/loadgen's -max-allocs
-// gate enforces it end-to-end in CI). The mechanics, and the ownership
-// rules they impose:
+// The cached exact-hit path is allocation-free: an Ask served from the
+// exact tier performs zero heap allocations with Options.NoMemory
+// (TestCachedAskAllocs; cmd/loadgen's -max-allocs gate in CI), and
+// under one amortized when it records its turn — an append to the
+// session's log (TestCachedAskAllocsWithMemory). The mechanics, and
+// the ownership rules they impose:
 //
 //   - The (retriever, model, question) cache key is rendered into a
 //     pooled askScratch buffer (scratchPool) instead of a fresh string,
@@ -195,9 +197,8 @@ type Config struct {
 	MaxSessions int
 	// MaxSessionTurns bounds each session's retained history: when a
 	// session's log reaches twice this bound it is compacted to the
-	// most recent MaxSessionTurns turns and its conversation memory is
-	// rebuilt from the survivors (older turns fall out of recall). 0
-	// selects DefaultMaxSessionTurns, negative is unlimited.
+	// most recent MaxSessionTurns turns (older turns fall out of
+	// recall). 0 selects DefaultMaxSessionTurns, negative is unlimited.
 	MaxSessionTurns int
 	// CacheSize bounds the answer cache: 0 selects DefaultCacheSize,
 	// negative disables caching entirely.
@@ -278,21 +279,17 @@ type Answer struct {
 	Generation time.Duration `json:"generation_ns,omitempty"`
 }
 
-// Turn is one question/answer exchange within a session. The JSON tags
+// Turn is one question/answer exchange within a session; its JSON tags
 // are the daemon's GET /v1/sessions/{id} wire format.
-type Turn struct {
-	Question string `json:"question"`
-	Answer   string `json:"answer"`
-}
+type Turn = memory.Turn
 
-// session is one conversation: its memory plus the turn log served by
+// session is one conversation. Its memory holds the turn log served by
 // GET /v1/sessions/{id}.
 type session struct {
 	id string
 
-	mu    sync.Mutex
-	conv  *memory.Conversation
-	turns []Turn
+	mu   sync.Mutex
+	conv *memory.Conversation
 }
 
 // Engine executes the ask-path. Safe for concurrent use.
@@ -910,23 +907,19 @@ func queryTrace(rctx retriever.Context) []string {
 	return out
 }
 
-// record appends the exchange to the session log and conversation
-// memory, compacting the log at the retention bound.
+// record appends the exchange to the session's turn log, compacting
+// the log at the retention bound.
+//
+//cachemind:noalloc
 func (e *Engine) record(sessionID, question, answer string) {
 	s := e.session(sessionID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.conv.Add(question, answer)
-	s.turns = append(s.turns, Turn{Question: question, Answer: answer})
-	// Compact at twice the bound so the rebuild cost amortizes to O(1)
-	// per ask: keep the most recent maxTurns turns and regrow the
-	// conversation memory (and its vector index) from the survivors.
-	if e.maxTurns > 0 && len(s.turns) >= 2*e.maxTurns {
-		s.turns = append([]Turn(nil), s.turns[len(s.turns)-e.maxTurns:]...)
-		s.conv = memory.New(e.memoryTurns)
-		for _, t := range s.turns {
-			s.conv.Add(t.Question, t.Answer)
-		}
+	// Compact at twice the bound so the copy amortizes to O(1) per ask;
+	// the survivors keep their computed vectors and the backing array.
+	if e.maxTurns > 0 && s.conv.Len() >= 2*e.maxTurns {
+		s.conv.Keep(e.maxTurns)
 	}
 }
 
@@ -976,7 +969,7 @@ func (e *Engine) SessionTurns(id string) (turns []Turn, ok bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Turn(nil), s.turns...), true
+	return s.conv.Turns(), true
 }
 
 // SessionView returns the session's turn log and conversation-memory
@@ -991,23 +984,7 @@ func (e *Engine) SessionView(id, question string) (turns []Turn, mem string, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Turn(nil), s.turns...), s.conv.ContextBlock(question), nil
-}
-
-// SessionMemory renders the session's conversation-memory view —
-// summaries of turns evicted from the verbatim buffer, the buffered
-// recent turns, and (given a non-empty upcoming question) similarity
-// recalls — the inspectable state behind GET /v1/sessions/{id}.
-// Answers themselves are pure functions of the question (see the
-// package comment), so this memory never feeds back into generation.
-func (e *Engine) SessionMemory(id, question string) (string, bool) {
-	s, ok := e.lookup(id)
-	if !ok {
-		return "", false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conv.ContextBlock(question), true
+	return s.conv.Turns(), s.conv.ContextBlock(question), nil
 }
 
 // SessionIDs lists every live session across all shards, sorted.

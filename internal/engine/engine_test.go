@@ -549,23 +549,61 @@ func TestSessionTurnCompaction(t *testing.T) {
 // session's turns.
 func TestSessionMemoryView(t *testing.T) {
 	e := newEngine(t, engine.Config{})
-	if _, ok := e.SessionMemory("ghost", ""); ok {
+	if _, _, err := e.SessionView("ghost", ""); err == nil {
 		t.Fatal("unknown session reported memory")
 	}
 	mustAsk(t, e, "s", questions[0])
-	mem, ok := e.SessionMemory("s", "")
-	if !ok || !strings.Contains(mem, questions[0]) {
-		t.Fatalf("memory view = %q, ok=%v; want it to mention the asked question", mem, ok)
+	_, mem, err := e.SessionView("s", "")
+	if err != nil || !strings.Contains(mem, questions[0]) {
+		t.Fatalf("memory view = %q, err=%v; want it to mention the asked question", mem, err)
 	}
 	// Past the verbatim buffer, older turns appear as summaries.
 	e2 := newEngine(t, engine.Config{MemoryTurns: 1})
 	for i := 0; i < 3; i++ {
 		mustAsk(t, e2, "s", questions[i])
 	}
-	mem, _ = e2.SessionMemory("s", "")
+	_, mem, _ = e2.SessionView("s", "")
 	if !strings.Contains(mem, "Earlier findings:") {
 		t.Fatalf("memory view lacks summaries past the buffer:\n%s", mem)
 	}
+}
+
+// TestSessionViewConcurrentWithAsks: memory views fill the session's
+// lazy vector cache, so a read path mutates state. Concurrent recorded
+// asks and recalling SessionView calls on one session — across several
+// compactions — must be race-free (run under -race) and every view
+// must be a consistent snapshot within the retention bound.
+func TestSessionViewConcurrentWithAsks(t *testing.T) {
+	e := newEngine(t, engine.Config{MaxSessionTurns: 4, MemoryTurns: 2})
+	mustAsk(t, e, "s", questions[0])
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				if _, err := ask(e, "s", questions[(w+i)%len(questions)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				turns, mem, err := e.SessionView("s", questions[i%len(questions)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(turns) == 0 || len(turns) >= 8 || mem == "" {
+					t.Errorf("view %d: %d turns, memory %q", i, len(turns), mem)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestEngineCacheEviction: with a 1-entry cache, alternating questions

@@ -47,9 +47,9 @@ const (
 // return no provenance. Cancellation and deadlines are carried by the
 // context passed to Ask, not by Options.
 type Options struct {
-	// NoMemory skips recording the exchange in the session's
-	// conversation memory and turn log (a stateless one-shot ask; it
-	// does not create or touch the session at all).
+	// NoMemory skips recording the exchange in the session's turn log
+	// (a stateless one-shot ask; it does not create or touch the
+	// session at all).
 	NoMemory bool
 	// BypassCache skips the answer cache and single-flight coalescing
 	// entirely: the pipeline runs fresh and the result is not

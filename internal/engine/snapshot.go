@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"cachemind/internal/embed"
-	"cachemind/internal/memory"
 )
 
 // This file is the engine's snapshot/restore seam — the mechanism
@@ -24,10 +23,10 @@ import (
 // MaxSessionTurns bounds as if the turns had arrived as asks.
 
 // SessionSnapshot is one session's durable state: its retained turn
-// log. Conversation memory is not serialized — it is a pure function
-// of the turn log (record rebuilds it the same way on compaction), so
-// ImportSessions regrows it from the turns, which keeps the wire
-// format independent of memory-internal representation changes.
+// log. Nothing else is serialized — every memory view is derived from
+// the log on read, and turn embeddings are recomputed on first recall —
+// which keeps the wire format independent of memory-internal
+// representation changes.
 type SessionSnapshot struct {
 	ID    string `json:"id"`
 	Turns []Turn `json:"turns"`
@@ -55,26 +54,15 @@ type CacheEntry struct {
 func (e *Engine) Scope() string { return e.keyPrefix }
 
 // ExportSessions snapshots every live session's turn log, sorted by
-// session ID. Each session is copied under its own lock; the result
-// set is the sessions live at the scan, with each log internally
-// consistent.
+// session ID. Each log is copied under its session's lock; the result
+// set is the sessions listed at the scan and still live when copied.
 func (e *Engine) ExportSessions() []SessionSnapshot {
 	var out []SessionSnapshot
-	for _, sh := range e.sessionShards {
-		sh.mu.Lock()
-		shardSessions := make([]*session, 0, len(sh.sessions))
-		for _, el := range sh.sessions {
-			shardSessions = append(shardSessions, el.Value.(*session))
-		}
-		sh.mu.Unlock()
-		for _, s := range shardSessions {
-			s.mu.Lock()
-			snap := SessionSnapshot{ID: s.id, Turns: append([]Turn(nil), s.turns...)}
-			s.mu.Unlock()
-			out = append(out, snap)
+	for _, id := range e.SessionIDs() {
+		if turns, ok := e.SessionTurns(id); ok {
+			out = append(out, SessionSnapshot{ID: id, Turns: turns})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -83,9 +71,8 @@ func (e *Engine) ExportSessions() []SessionSnapshot {
 // recorded turns is skipped — live state wins over a snapshot — so
 // importing is idempotent and a restart-restore can never roll back
 // turns recorded after the checkpoint. Imported logs are clamped to
-// the engine's MaxSessionTurns bound (most recent turns win) and the
-// conversation memory is rebuilt from the surviving turns, exactly as
-// record's compaction does; session creation goes through the normal
+// the engine's MaxSessionTurns bound (most recent turns win) by Keep,
+// as record's compaction is; session creation goes through the normal
 // MaxSessions admission, so a snapshot larger than the budget evicts
 // by recency like any other session flood.
 func (e *Engine) ImportSessions(snaps []SessionSnapshot) int {
@@ -94,21 +81,16 @@ func (e *Engine) ImportSessions(snaps []SessionSnapshot) int {
 		if snap.ID == "" || len(snap.Turns) == 0 {
 			continue
 		}
-		turns := snap.Turns
-		if e.maxTurns > 0 && len(turns) > e.maxTurns {
-			turns = turns[len(turns)-e.maxTurns:]
-		}
 		s := e.session(snap.ID)
 		s.mu.Lock()
-		if len(s.turns) > 0 {
+		if s.conv.Len() > 0 {
 			s.mu.Unlock()
 			continue
 		}
-		s.turns = append([]Turn(nil), turns...)
-		s.conv = memory.New(e.memoryTurns)
-		for _, t := range s.turns {
+		for _, t := range snap.Turns {
 			s.conv.Add(t.Question, t.Answer)
 		}
+		s.conv.Keep(e.maxTurns)
 		s.mu.Unlock()
 		imported++
 	}

@@ -38,8 +38,8 @@ func TestExportImportSessionsRoundTrip(t *testing.T) {
 		}
 		// The restored conversation memory must behave like the
 		// original: same view for the same upcoming question.
-		srcMem, _ := src.SessionMemory(snap.ID, questions[0])
-		dstMem, _ := dst.SessionMemory(snap.ID, questions[0])
+		_, srcMem, _ := src.SessionView(snap.ID, questions[0])
+		_, dstMem, _ := dst.SessionView(snap.ID, questions[0])
 		if srcMem != dstMem {
 			t.Fatalf("session %s memory view diverges after import", snap.ID)
 		}

@@ -1,35 +1,36 @@
 // Package memory implements the conversation-memory layer the paper
-// augments its generator with: a sliding buffer of recent turns,
-// compact summaries of evicted turns, and a vector store over past
-// findings that re-surfaces relevant slices when similar questions
-// recur — enabling the multi-turn analysis sessions of §6.3.
+// augments its generator with — enabling the multi-turn analysis
+// sessions of §6.3. A Conversation is one turn log, and its views are
+// derived on read: a sliding buffer of recent turns, summaries of the
+// turns before it, and vector recalls of relevant past findings. A
+// turn is embedded when a recall first needs it, so Add is an append.
 package memory
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"cachemind/internal/embed"
 )
 
-// Turn is one question/answer exchange.
+// Turn is one question/answer exchange, tagged for the session wire
+// and checkpoint JSON.
 type Turn struct {
-	Question string
-	Answer   string
+	Question string `json:"question"`
+	Answer   string `json:"answer"`
 }
 
 // Conversation is the generator's memory.
 //
-// Concurrency contract: not safe for concurrent use — Add mutates the
-// buffer, summaries and vector store. Callers serving concurrent
-// traffic must guard each Conversation with a lock; internal/engine
-// keeps one Conversation per session behind a per-session mutex.
+// Concurrency contract: not safe for concurrent use, reads included —
+// Recall and ContextBlock fill the lazy vector cache. Callers serving
+// concurrent traffic must guard each Conversation with a lock, for
+// reads too; internal/engine keeps one per session behind a mutex.
 type Conversation struct {
 	bufferCap int
-	buffer    []Turn
-	summaries []string
-	vector    *embed.Index
-	turnCount int
+	turns     []Turn
+	vecs      []embed.Vector // embeddings of a prefix of turns
 }
 
 // New creates a conversation memory holding bufferCap recent turns
@@ -38,23 +39,35 @@ func New(bufferCap int) *Conversation {
 	if bufferCap < 1 {
 		bufferCap = 1
 	}
-	return &Conversation{bufferCap: bufferCap, vector: embed.NewIndex()}
+	return &Conversation{bufferCap: bufferCap}
 }
 
-// Add records a completed turn. When the sliding buffer overflows, the
-// oldest turn is compacted into a summary and remains reachable through
-// the vector store.
+// Add records a completed turn.
+//
+//cachemind:noalloc
 func (c *Conversation) Add(question, answer string) {
-	c.turnCount++
-	id := fmt.Sprintf("turn-%04d", c.turnCount)
-	c.vector.Add(id, question+" "+answer)
-	c.buffer = append(c.buffer, Turn{Question: question, Answer: answer})
-	if len(c.buffer) > c.bufferCap {
-		old := c.buffer[0]
-		c.buffer = c.buffer[1:]
-		c.summaries = append(c.summaries, summarize(old))
+	c.turns = append(c.turns, Turn{Question: question, Answer: answer})
+}
+
+// Keep drops all but the most recent n turns (negative n: keep all),
+// keeping the survivors' embeddings. The survivors are renumbered from
+// turn-0001, as if they had been the only turns ever added. The log is
+// compacted in place, so a caller that trims at 2n never reallocates.
+//
+//cachemind:noalloc
+func (c *Conversation) Keep(n int) {
+	if drop := len(c.turns) - n; n >= 0 && drop > 0 {
+		c.turns = c.turns[:copy(c.turns, c.turns[drop:])]
+		clear(c.turns[n:cap(c.turns)])
+		c.vecs = c.vecs[:copy(c.vecs, c.vecs[min(drop, len(c.vecs)):])]
 	}
 }
+
+// Turns returns a copy of the log, oldest first.
+func (c *Conversation) Turns() []Turn { return append([]Turn(nil), c.turns...) }
+
+// summarized is how many of the oldest turns fall outside the buffer.
+func (c *Conversation) summarized() int { return max(0, len(c.turns)-c.bufferCap) }
 
 // summarize compacts a turn into one line: the question plus the
 // answer's leading clause.
@@ -76,48 +89,75 @@ func firstLine(s string) string {
 	return s
 }
 
-// Len returns the number of turns recorded overall.
-func (c *Conversation) Len() int { return c.turnCount }
+// Len returns the number of turns in the log.
+func (c *Conversation) Len() int { return len(c.turns) }
 
 // Recent returns the buffered turns, oldest first.
-func (c *Conversation) Recent() []Turn { return append([]Turn(nil), c.buffer...) }
+func (c *Conversation) Recent() []Turn { return append([]Turn(nil), c.turns[c.summarized():]...) }
 
-// Summaries returns the compacted older turns, oldest first.
-func (c *Conversation) Summaries() []string { return append([]string(nil), c.summaries...) }
+// Summaries returns the turns before the buffer, summarized.
+func (c *Conversation) Summaries() []string {
+	out := make([]string, c.summarized())
+	for i := range out {
+		out[i] = summarize(c.turns[i])
+	}
+	return out
+}
+
+// recallText is the text a turn is embedded and recalled as.
+func recallText(t Turn) string { return t.Question + " " + t.Answer }
 
 // Recall returns up to k past turns relevant to the question, found by
 // vector similarity — the re-retrieval path for "as computed earlier"
-// follow-ups.
+// follow-ups. Ties break by the string "turn-%04d" of the position. It
+// embeds the turns added since the last Recall, unless the query embeds
+// to zero (an empty one): then every turn scores 0.
 func (c *Conversation) Recall(question string, k int) []string {
-	matches := c.vector.TopK(question, k)
-	out := make([]string, 0, len(matches))
-	for _, m := range matches {
-		if txt, ok := c.vector.Text(m.ID); ok {
-			out = append(out, txt)
+	q := embed.Embed(question)
+	type match struct {
+		id    string
+		score float64
+		turn  Turn
+	}
+	ms := make([]match, len(c.turns))
+	for i, t := range c.turns {
+		ms[i] = match{id: fmt.Sprintf("turn-%04d", i+1), turn: t}
+		if q != (embed.Vector{}) {
+			if i == len(c.vecs) {
+				c.vecs = append(c.vecs, embed.Embed(recallText(t)))
+			}
+			ms[i].score = embed.Cosine(q, c.vecs[i])
 		}
+	}
+	sort.Slice(ms, func(i, j int) bool {
+		if ms[i].score != ms[j].score {
+			return ms[i].score > ms[j].score
+		}
+		return ms[i].id < ms[j].id
+	})
+	out := make([]string, 0, min(max(k, 0), len(ms)))
+	for _, m := range ms[:cap(out)] {
+		out = append(out, recallText(m.turn))
 	}
 	return out
 }
 
 // ContextBlock renders the memory contribution to a prompt: summaries
-// of older turns, then recent turns verbatim, then vector recalls
-// relevant to the upcoming question.
+// of the five turns before the buffer, then the buffered turns
+// verbatim, then vector recalls relevant to the upcoming question.
 func (c *Conversation) ContextBlock(question string) string {
 	var b strings.Builder
-	if len(c.summaries) > 0 {
+	n := c.summarized()
+	if n > 0 {
 		b.WriteString("Earlier findings:\n")
-		start := 0
-		if len(c.summaries) > 5 {
-			start = len(c.summaries) - 5
-		}
-		for _, s := range c.summaries[start:] {
-			b.WriteString("  " + s + "\n")
+		for _, t := range c.turns[max(0, n-5):n] {
+			b.WriteString("  " + summarize(t) + "\n")
 		}
 	}
-	for _, t := range c.buffer {
+	for _, t := range c.turns[n:] {
 		fmt.Fprintf(&b, "User: %s\nAssistant: %s\n", firstLine(t.Question), firstLine(t.Answer))
 	}
-	if c.turnCount > c.bufferCap {
+	if n > 0 {
 		if recalls := c.Recall(question, 2); len(recalls) > 0 {
 			b.WriteString("Recalled relevant turns:\n")
 			for _, r := range recalls {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"cachemind/internal/embed"
 )
 
 func TestSlidingBuffer(t *testing.T) {
@@ -122,5 +124,63 @@ func TestRecallTieBreaksByIDString(t *testing.T) {
 	}
 	if got := c.Recall("echo same", 1); len(got) != 1 || got[0] != "echo same" {
 		t.Errorf("Recall = %q, want the turn-10000 text", got)
+	}
+}
+
+// TestVectorsOnFirstRecall: Add embeds nothing; a recall embeds the
+// turns added since the last one; an empty query, which scores every
+// turn 0, embeds nothing at all.
+func TestVectorsOnFirstRecall(t *testing.T) {
+	c := New(1)
+	for i := 1; i <= 4; i++ {
+		c.Add(fmt.Sprintf("q%d", i), fmt.Sprintf("a%d.", i))
+	}
+	if len(c.vecs) != 0 {
+		t.Fatalf("Add embedded %d turns eagerly", len(c.vecs))
+	}
+	c.ContextBlock("")
+	if len(c.vecs) != 0 {
+		t.Fatalf("an empty-query view embedded %d turns", len(c.vecs))
+	}
+	c.Recall("q2", 1)
+	c.Add("q5", "a5.")
+	if len(c.vecs) != 4 {
+		t.Fatalf("after one recall %d of 5 turns embedded, want 4", len(c.vecs))
+	}
+	c.ContextBlock("q5")
+	for i, turn := range c.turns {
+		if c.vecs[i] != embed.Embed(recallText(turn)) {
+			t.Fatalf("vector %d is not the embedding of its turn", i)
+		}
+	}
+}
+
+// TestKeepMatchesFreshConversation: Keep drops the oldest turns, keeps
+// the survivors' vectors without re-embedding them, and renumbers
+// recall IDs — every view equals that of a fresh Conversation fed only
+// the survivors.
+func TestKeepMatchesFreshConversation(t *testing.T) {
+	c := New(2)
+	for i := 1; i <= 8; i++ {
+		c.Add(fmt.Sprintf("q%d about reuse", i), fmt.Sprintf("a%d.", i))
+	}
+	c.Recall("reuse", 1)
+	c.Add("q9 about reuse", "a9.")
+	c.Keep(4)
+	if c.Len() != 4 || len(c.vecs) != 3 {
+		t.Fatalf("after Keep(4): %d turns, %d vectors; want 4, 3", c.Len(), len(c.vecs))
+	}
+	fresh := New(2)
+	for _, turn := range c.Turns() {
+		fresh.Add(turn.Question, turn.Answer)
+	}
+	for _, q := range []string{"", "reuse", "q7 about reuse a7", "q9"} {
+		if got, want := c.ContextBlock(q), fresh.ContextBlock(q); got != want {
+			t.Errorf("ContextBlock(%q) after Keep:\n%s\nfresh:\n%s", q, got, want)
+		}
+	}
+	c.Keep(10)
+	if c.Len() != 4 {
+		t.Errorf("Keep above Len trimmed to %d turns", c.Len())
 	}
 }
