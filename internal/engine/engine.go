@@ -907,19 +907,24 @@ func queryTrace(rctx retriever.Context) []string {
 	return out
 }
 
-// record appends the exchange to the session's turn log, compacting
-// the log at the retention bound.
-//
-//cachemind:noalloc
+// record appends the exchange to the session's turn log.
 func (e *Engine) record(sessionID, question, answer string) {
 	s := e.session(sessionID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.conv.Add(question, answer)
-	// Compact at twice the bound so the copy amortizes to O(1) per ask;
-	// the survivors keep their computed vectors and the backing array.
-	if e.maxTurns > 0 && s.conv.Len() >= 2*e.maxTurns {
-		s.conv.Keep(e.maxTurns)
+	e.appendTurn(s.conv, question, answer)
+}
+
+// appendTurn appends one turn to a session's log and compacts the log
+// to its most recent maxTurns turns at twice that bound: the copy
+// amortizes to O(1) per turn, the survivors keep their vectors, and
+// the backing array never outgrows the bound.
+//
+//cachemind:noalloc
+func (e *Engine) appendTurn(conv *memory.Conversation, question, answer string) {
+	conv.Add(question, answer)
+	if e.maxTurns > 0 && conv.Len() >= 2*e.maxTurns {
+		conv.Keep(e.maxTurns)
 	}
 }
 

@@ -70,9 +70,9 @@ func (e *Engine) ExportSessions() []SessionSnapshot {
 // were imported. A session that already exists locally with any
 // recorded turns is skipped — live state wins over a snapshot — so
 // importing is idempotent and a restart-restore can never roll back
-// turns recorded after the checkpoint. Imported logs are clamped to
-// the engine's MaxSessionTurns bound (most recent turns win) by Keep,
-// as record's compaction is; session creation goes through the normal
+// turns recorded after the checkpoint. Imported turns are appended as
+// recorded asks are, then clamped to the engine's MaxSessionTurns bound
+// (most recent turns win); session creation goes through the normal
 // MaxSessions admission, so a snapshot larger than the budget evicts
 // by recency like any other session flood.
 func (e *Engine) ImportSessions(snaps []SessionSnapshot) int {
@@ -88,7 +88,7 @@ func (e *Engine) ImportSessions(snaps []SessionSnapshot) int {
 			continue
 		}
 		for _, t := range snap.Turns {
-			s.conv.Add(t.Question, t.Answer)
+			e.appendTurn(s.conv, t.Question, t.Answer)
 		}
 		s.conv.Keep(e.maxTurns)
 		s.mu.Unlock()

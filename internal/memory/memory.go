@@ -43,8 +43,6 @@ func New(bufferCap int) *Conversation {
 }
 
 // Add records a completed turn.
-//
-//cachemind:noalloc
 func (c *Conversation) Add(question, answer string) {
 	c.turns = append(c.turns, Turn{Question: question, Answer: answer})
 }
@@ -53,8 +51,6 @@ func (c *Conversation) Add(question, answer string) {
 // keeping the survivors' embeddings. The survivors are renumbered from
 // turn-0001, as if they had been the only turns ever added. The log is
 // compacted in place, so a caller that trims at 2n never reallocates.
-//
-//cachemind:noalloc
 func (c *Conversation) Keep(n int) {
 	if drop := len(c.turns) - n; n >= 0 && drop > 0 {
 		c.turns = c.turns[:copy(c.turns, c.turns[drop:])]
