@@ -54,7 +54,7 @@ func (c *Conversation) Add(question, answer string) {
 func (c *Conversation) Keep(n int) {
 	if drop := len(c.turns) - n; n >= 0 && drop > 0 {
 		c.turns = c.turns[:copy(c.turns, c.turns[drop:])]
-		clear(c.turns[n:cap(c.turns)])
+		clear(c.turns[n : n+drop])
 		c.vecs = c.vecs[:copy(c.vecs, c.vecs[min(drop, len(c.vecs)):])]
 	}
 }
@@ -105,9 +105,9 @@ func recallText(t Turn) string { return t.Question + " " + t.Answer }
 
 // Recall returns up to k past turns relevant to the question, found by
 // vector similarity — the re-retrieval path for "as computed earlier"
-// follow-ups. Ties break by the string "turn-%04d" of the position. It
-// embeds the turns added since the last Recall, unless the query embeds
-// to zero (an empty one): then every turn scores 0.
+// follow-ups. Ties break by recall ID ("turn-%04d" of the 1-based
+// position) as a string. Turns added since the last Recall are embedded
+// here, unless the query embeds to zero (an empty one): then all score 0.
 func (c *Conversation) Recall(question string, k int) []string {
 	q := embed.Embed(question)
 	type match struct {
