@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cachemind/internal/embed"
+	"cachemind/internal/policy"
 )
 
 // newLRUCache is the test shorthand for a cache under the default
@@ -85,7 +86,7 @@ func TestAnswerCachePeekLeavesRecencyAlone(t *testing.T) {
 // TestAnswerCacheBypassingPolicy: a policy that declines insertion
 // leaves the resident set untouched and counts a bypass.
 func TestAnswerCacheBypassingPolicy(t *testing.T) {
-	c := newAnswerCache(1, &bypassAllWrap{inner: newLRUList()}, false)
+	c := newAnswerCache(1, bypassAllWrap{newLRUList()}, false)
 	c.put("a", Answer{Text: "A"}, nil)
 	c.put("b", Answer{Text: "B"}, nil) // full: policy bypasses
 	if _, ok := c.touch([]byte("a")); !ok {
@@ -101,13 +102,58 @@ func TestAnswerCacheBypassingPolicy(t *testing.T) {
 }
 
 // bypassAllWrap delegates bookkeeping to a real policy but refuses
-// every eviction.
-type bypassAllWrap struct{ inner evictionPolicy }
+// every eviction, demand and prefetch alike.
+type bypassAllWrap struct{ policy.CachePolicy }
 
-func (b *bypassAllWrap) Name() string                 { return "bypass-all" }
-func (b *bypassAllWrap) OnHit(key string)             { b.inner.OnHit(key) }
-func (b *bypassAllWrap) OnInsert(key string)          { b.inner.OnInsert(key) }
-func (b *bypassAllWrap) Victim(string) (string, bool) { return "", true }
+func (bypassAllWrap) Name() string                            { return "bypass-all" }
+func (bypassAllWrap) Victim(string) (string, bool)            { return "", true }
+func (bypassAllWrap) VictimForPrefetch(string) (string, bool) { return "", true }
+
+// TestAnswerCachePrefetchBypass: a policy that refuses a prefetch fill
+// on a full cache leaves the resident set untouched and counts the
+// fill wasted — bypasses tracks declined demand insertions only.
+func TestAnswerCachePrefetchBypass(t *testing.T) {
+	c := newAnswerCache(1, bypassAllWrap{newLRUList()}, false)
+	c.put("a", Answer{Text: "A"}, nil)
+	if !c.putPrefetch("p", Answer{Text: "P"}, nil) {
+		t.Fatal("putPrefetch of an absent key reported no landing")
+	}
+	if _, ok := c.peek("p"); ok {
+		t.Fatal("bypassed prefetch fill was inserted anyway")
+	}
+	if _, ok := c.peek("a"); !ok {
+		t.Fatal("resident entry lost on a bypassed prefetch fill")
+	}
+	_, _, _, bypasses, entries := c.counters()
+	_, wasted := c.prefetchCounters()
+	if wasted != 1 || bypasses != 0 || entries != 1 {
+		t.Fatalf("wasted/bypasses/entries = %d/%d/%d, want 1/0/1", wasted, bypasses, entries)
+	}
+}
+
+// TestLRUPrefetchInsertsAtMidpoint: the native LRU's prefetch fill
+// lands at the recency midpoint (segmented-LRU probation), so demand
+// churn evicts the older half before it and the newer half after it.
+func TestLRUPrefetchInsertsAtMidpoint(t *testing.T) {
+	p := newLRUList()
+	for _, k := range []string{"a", "b", "c", "d"} {
+		p.OnInsert(k)
+	}
+	p.OnInsertPrefetch("pf")
+	var order []string
+	for i := 0; i < 5; i++ {
+		key := fmt.Sprintf("n%d", i)
+		victim, bypass := p.Victim(key)
+		if bypass {
+			t.Fatalf("LRU bypassed demand fill %s", key)
+		}
+		order = append(order, victim)
+		p.OnInsert(key)
+	}
+	if got, want := fmt.Sprint(order), "[a b pf c d]"; got != want {
+		t.Fatalf("eviction order %s, want %s", got, want)
+	}
+}
 
 // TestAnswerCacheIndexLockstepAllPolicies pins the semantic tier's
 // soundness invariant for every registered eviction policy: the

@@ -81,12 +81,13 @@
 // # Cache eviction policies
 //
 // The answer cache's residency is ordered by a pluggable
-// evictionPolicy (OnHit/OnInsert/Victim — see cache.go for the
-// contract). Config.CachePolicy selects it by name: "lru" (the
-// default, a native recency list with the engine's historical
-// semantics) or any of the paper's replacement policies adapted by
-// internal/policy.ForCache — RRIP variants, SHiP, Hawkeye, Mockingjay,
-// the online MLP, and the rest of CachePolicies(). Policies only
+// policy.CachePolicy (OnHit/OnInsert/Victim plus the bytes and
+// prefetch hooks — see internal/policy for the contract).
+// Config.CachePolicy selects it by name: "lru" (the default, a native
+// recency list with the engine's historical semantics) or any of the
+// paper's replacement policies adapted by internal/policy.ForCache —
+// RRIP variants, SHiP, Hawkeye, Mockingjay, the online MLP, and the
+// rest of CachePolicies(). Policies only
 // decide which entries stay resident; answers are pure functions of
 // the cache key, so switching policy can change hit/miss totals and
 // nothing else.
@@ -126,8 +127,8 @@
 //     selection (cache and flight).
 //   - The cache probe is a zero-copy map lookup on the scratch bytes
 //     (entries[string(key)] compiles without materializing the string),
-//     and the default LRU policy refreshes recency through the optional
-//     bytesHitter interface, again without a conversion.
+//     and the default LRU policy refreshes recency through the
+//     policy's OnHitBytes hook, again without a conversion.
 //   - Cached answers are served without copying: Answer's fields are
 //     immutable once published (strings plus a Queries slice nobody
 //     mutates; Response.Queries is cloned only at ProvenanceFull).
@@ -468,7 +469,7 @@ func New(cfg Config) (*Engine, error) {
 // adapter for everything else. The seed (the shard index) pins any
 // stochastic policy choice, so a fixed configuration replays fixed
 // eviction decisions.
-func newEvictionPolicy(name string, capacity int, seed int64) (evictionPolicy, error) {
+func newEvictionPolicy(name string, capacity int, seed int64) (policy.CachePolicy, error) {
 	if name == "lru" {
 		return newLRUList(), nil
 	}

@@ -10,15 +10,27 @@ import (
 
 // CachePolicy is the serving-side view of a replacement policy: a
 // key-addressed cache (the engine's answer cache) instead of a
-// set-associative address-addressed one. It is the adapter type
-// ForCache returns; internal/engine's evictionPolicy seam is the same
-// method set, so any CachePolicy can drive the sharded answer cache.
+// set-associative address-addressed one. It is the eviction seam the
+// paper's replacement suite plugs into serving through: every
+// answer-cache shard owns one CachePolicy — the engine's native LRU
+// or a ForCache adapter — and every hook is mandatory, so a policy
+// that lacks one, or declares one with the wrong signature, does not
+// compile.
 //
 // Contract (callers serialize all calls — one answer-cache shard owns
-// one CachePolicy under its mutex):
+// one CachePolicy under its mutex, so implementations need no locking
+// of their own):
 //
 //   - OnHit(key) observes a lookup hit on a resident key (or an
 //     overwrite of an existing entry) and refreshes its recency state.
+//   - OnHitBytes(key) is OnHit for a key still in the ask's pooled
+//     scratch bytes: the exact-hit path. A policy whose bookkeeping
+//     can probe with the bytes (the native LRU's map lookup compiles
+//     to a zero-copy probe) keeps that path allocation-free; one that
+//     needs a string must copy the key itself. OnHit stays beside it
+//     because the overwrite, session-handoff and semantic-refresh
+//     paths already hold a string key — routing them through []byte
+//     would add a copy per semantic hit.
 //   - Victim(incoming) is called only when the cache is full and
 //     incoming is absent. The policy returns the resident key to evict,
 //     or bypass=true to request that incoming not be cached at all
@@ -29,11 +41,25 @@ import (
 //   - OnInsert(key) observes the insertion of a new key, into the way
 //     freed by the immediately preceding Victim call or into a free way
 //     when the cache is not yet full.
+//   - VictimForPrefetch and OnInsertPrefetch are Victim and OnInsert
+//     for a speculative prefetch fill, with the same pairing rules: a
+//     distinct insertion class, as SHiP/RRIP draw between demand and
+//     prefetch fills in the simulator. A policy may refuse speculative
+//     fills more readily than demand ones, or insert them at a lower
+//     priority; one with no such distinction delegates to Victim and
+//     OnInsert.
+//
+// Policies only decide which entries stay resident — answers are pure
+// functions of the cache key, so no policy choice can change a single
+// answer byte, only hit/miss totals.
 type CachePolicy interface {
 	Name() string
 	OnHit(key string)
+	OnHitBytes(key []byte)
 	OnInsert(key string)
+	OnInsertPrefetch(key string)
 	Victim(incoming string) (victim string, bypass bool)
+	VictimForPrefetch(incoming string) (victim string, bypass bool)
 }
 
 // cacheAliases maps serving-side policy spellings onto registered
@@ -225,9 +251,7 @@ func (a *cacheAdapter) OnHit(key string) {
 // scratch bytes. The simulator protocol is string-addressed (way map,
 // PC features), so the adapter materializes the key — one allocation
 // per hit, which is why adapted policies sit off the default (native
-// LRU) path; the hook exists so the seam's full-lockstep contract
-// holds for every policy, with the cost documented here rather than
-// hidden in internal/engine's fallback.
+// LRU) path.
 func (a *cacheAdapter) OnHitBytes(key []byte) {
 	a.OnHit(string(key))
 }
@@ -256,7 +280,7 @@ func (a *cacheAdapter) Victim(incoming string) (string, bool) {
 // VictimForPrefetch is Victim for a speculative prefetch fill: the
 // underlying policy sees the access with AccessInfo.Prefetch set, so
 // bypass-capable policies can refuse speculative insertions on their
-// own terms. Satisfies internal/engine's prefetchVictimer seam.
+// own terms.
 func (a *cacheAdapter) VictimForPrefetch(incoming string) (string, bool) {
 	a.prefetchNext = true
 	victim, bypass := a.Victim(incoming)
@@ -265,8 +289,7 @@ func (a *cacheAdapter) VictimForPrefetch(incoming string) (string, bool) {
 }
 
 // OnInsertPrefetch is OnInsert for a speculative prefetch fill, with
-// AccessInfo.Prefetch set on the fill the policy observes. Satisfies
-// internal/engine's prefetchInserter seam.
+// AccessInfo.Prefetch set on the fill the policy observes.
 func (a *cacheAdapter) OnInsertPrefetch(key string) {
 	a.prefetchNext = true
 	a.OnInsert(key)

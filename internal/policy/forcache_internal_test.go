@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"cachemind/internal/sim"
 )
 
 // legacyPC is the pre-intern PC derivation: hash the (retriever, model)
@@ -69,5 +71,62 @@ func TestForCacheShapeIntern(t *testing.T) {
 	}
 	if len(a.shapes) != shapeMemoCap {
 		t.Errorf("memo grew past its cap: %d > %d", len(a.shapes), shapeMemoCap)
+	}
+}
+
+// prefetchRecorder wraps a simulator policy and records, per call,
+// the hook and the AccessInfo.Prefetch flag it was handed.
+type prefetchRecorder struct {
+	sim.ReplacementPolicy
+	calls []string
+}
+
+func (r *prefetchRecorder) record(hook string, info sim.AccessInfo) {
+	r.calls = append(r.calls, fmt.Sprintf("%s:%v", hook, info.Prefetch))
+}
+
+func (r *prefetchRecorder) Victim(info sim.AccessInfo, lines []sim.Line) int {
+	r.record("victim", info)
+	return r.ReplacementPolicy.Victim(info, lines)
+}
+
+func (r *prefetchRecorder) OnHit(info sim.AccessInfo, way int, lines []sim.Line) {
+	r.record("hit", info)
+	r.ReplacementPolicy.OnHit(info, way, lines)
+}
+
+func (r *prefetchRecorder) OnFill(info sim.AccessInfo, way int, lines []sim.Line) {
+	r.record("fill", info)
+	r.ReplacementPolicy.OnFill(info, way, lines)
+}
+
+// TestForCachePrefetchFlag: the adapter marks AccessInfo.Prefetch on
+// exactly the accesses VictimForPrefetch and OnInsertPrefetch drive,
+// and on no demand access before or after them.
+func TestForCachePrefetchFlag(t *testing.T) {
+	pol, err := ForCache("srrip", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := pol.(*cacheAdapter)
+	rec := &prefetchRecorder{ReplacementPolicy: a.inner}
+	a.inner = rec
+
+	pol.OnInsert("a")
+	pol.OnInsertPrefetch("b") // free way: no victim needed
+	pol.OnHit("a")
+	pol.OnHitBytes([]byte("b"))
+	if _, bypass := pol.VictimForPrefetch("c"); bypass {
+		t.Fatal("srrip bypassed a prefetch fill")
+	}
+	pol.OnInsertPrefetch("c")
+	if _, bypass := pol.Victim("d"); bypass {
+		t.Fatal("srrip bypassed a demand fill")
+	}
+	pol.OnInsert("d")
+
+	want := "[fill:false fill:true hit:false hit:false victim:true fill:true victim:false fill:false]"
+	if got := fmt.Sprint(rec.calls); got != want {
+		t.Fatalf("hook:prefetch sequence\n got  %s\n want %s", got, want)
 	}
 }
