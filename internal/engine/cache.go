@@ -14,8 +14,6 @@ import (
 // It is the Config.CachePolicy default, kept native (rather than
 // routed through the simulator adapter) so the default ask path
 // carries no extra per-access state.
-//
-//cachemind:evictionpolicy
 type lruList struct {
 	ll *list.List // front = most recently used
 	at map[string]*list.Element

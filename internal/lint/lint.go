@@ -32,17 +32,11 @@
 //     Unlock in the same function, and the held region may not
 //     contain channel sends or calls into the slow pipeline
 //     (Retrieve/Answer/AnalysisAnswer/Invoke) or HTTP round-trips.
-//   - seamlockstep — types annotated //cachemind:evictionpolicy must
-//     implement the full eviction-policy hook set, including the
-//     optional extension interfaces (OnHitBytes, OnInsertPrefetch,
-//     VictimForPrefetch), so a new seam hook breaks the build for
-//     every policy that ignores it. Interfaces annotated
-//     //cachemind:seam-hook cross-check the analyzer's hook table
-//     itself, so the table cannot silently go stale.
-//   - wirecodes    — every engine.Code constant must have an explicit
-//     case in the daemon's statusForCode table, an entry in its
-//     wireCodes metrics registry, and an appearance in the README's
-//     wire-contract docs.
+//
+// Contracts the compiler or one table test can check live there
+// instead: the eviction seam is a single interface
+// (policy.CachePolicy), and the wire codes are one table in
+// cmd/cachemindd pinned by its TestWireCodesTable.
 //
 // Each analyzer ships with positive and negative fixtures under
 // testdata/src (run by linttest, an analysistest-style harness), so a
@@ -80,9 +74,6 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Dir is the package directory on disk (used by analyzers that
-	// consult repository docs, e.g. wirecodes' README check).
-	Dir string
 
 	// report receives each diagnostic; set by the driver.
 	report func(Diagnostic)
@@ -93,8 +84,8 @@ type Pass struct {
 
 // NewPass constructs a Pass for drivers outside this package (the
 // linttest harness); unitchecker builds its passes directly.
-func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, dir string, report func(Diagnostic)) *Pass {
-	return &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info, Dir: dir, report: report}
+func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, report func(Diagnostic)) *Pass {
+	return &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info, report: report}
 }
 
 // Diagnostic is one finding.
@@ -115,8 +106,6 @@ var Analyzers = []*Analyzer{
 	DeterminismAnalyzer,
 	CtxFlowAnalyzer,
 	LockScopeAnalyzer,
-	SeamLockstepAnalyzer,
-	WireCodesAnalyzer,
 }
 
 // ---- directive handling ------------------------------------------------
@@ -124,14 +113,12 @@ var Analyzers = []*Analyzer{
 // Directive spellings. A directive is a //cachemind:<verb> comment; the
 // verb may be followed by arguments (a scope word, a waiver reason).
 const (
-	dirNoAlloc       = "noalloc"        // on a function: allocation-free contract
-	dirAllowAlloc    = "allow-alloc"    // line waiver for noalloc
-	dirDeterministic = "deterministic"  // on a package clause: deterministic scope
-	dirAllowNonDet   = "allow-nondet"   // line waiver for determinism
-	dirAllowCtx      = "allow-ctx"      // line waiver for ctxflow
-	dirAllowLock     = "allow-lock"     // line waiver for lockscope
-	dirPolicyImpl    = "evictionpolicy" // on a type: full hook set required
-	dirSeamHook      = "seam-hook"      // on an interface: hook-table cross-check
+	dirNoAlloc       = "noalloc"       // on a function: allocation-free contract
+	dirAllowAlloc    = "allow-alloc"   // line waiver for noalloc
+	dirDeterministic = "deterministic" // on a package clause: deterministic scope
+	dirAllowNonDet   = "allow-nondet"  // line waiver for determinism
+	dirAllowCtx      = "allow-ctx"     // line waiver for ctxflow
+	dirAllowLock     = "allow-lock"    // line waiver for lockscope
 )
 
 const directivePrefix = "//cachemind:"

@@ -113,7 +113,7 @@ func Run(t *testing.T, a *lint.Analyzer, pkg string) {
 	}
 
 	var diags []lint.Diagnostic
-	pass := lint.NewPass(a, fset, files, tpkg, info, dir, func(d lint.Diagnostic) {
+	pass := lint.NewPass(a, fset, files, tpkg, info, func(d lint.Diagnostic) {
 		diags = append(diags, d)
 	})
 	if err := a.Run(pass); err != nil {

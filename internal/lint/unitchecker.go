@@ -35,7 +35,7 @@ import (
 // importer.ForCompiler without loading any source but our own —
 // exactly how x/tools/go/analysis/unitchecker works, minus the fact
 // plumbing (no analyzer in this suite uses cross-package facts; each
-// reads only its own package plus, for wirecodes, the repo docs).
+// reads only its own package).
 
 // vetConfig mirrors the JSON unit config go vet writes. Fields we do
 // not consume are listed for documentation but left untyped-free.
@@ -208,7 +208,6 @@ func analyzeUnit(cfg *vetConfig) ([]string, error) {
 			Files:    files,
 			Pkg:      pkg,
 			Info:     info,
-			Dir:      cfg.Dir,
 		}
 		pass.report = func(d Diagnostic) {
 			all = append(all, posDiag{pos: fset.Position(d.Pos), msg: d.Message})

@@ -137,8 +137,6 @@ func ForCache(name string, capacity int, seed int64) (CachePolicy, error) {
 // a single fully-associative set, the access clock ticks once per
 // OnHit/insert, and keys are hashed into the address/PC features the
 // simulator policies consume.
-//
-//cachemind:evictionpolicy
 type cacheAdapter struct {
 	name  string
 	inner sim.ReplacementPolicy
