@@ -71,17 +71,24 @@ type server struct {
 	routes map[string]*routeStats
 }
 
-// wireCodes is the closed set of response codes the daemon accounts
-// for: "ok" plus every engine.Code, in the stable order /metrics
-// renders them.
-var wireCodes = [...]string{
-	"ok",
-	string(engine.CodeInvalidRequest),
-	string(engine.CodeSessionNotFound),
-	string(engine.CodeCanceled),
-	string(engine.CodeDeadlineExceeded),
-	string(engine.CodeOverloaded),
-	string(engine.CodeInternal),
+// wireCodes is the daemon's one wire-code table (the v1 wire contract;
+// see the README's status-code table): "ok" plus every engine.Code,
+// each with the HTTP status it is written with, in the stable order
+// /metrics renders them. Statuses are distinct, so the table maps both
+// ways; "internal" is last and also buckets any error status the table
+// does not name. 499 is the de-facto "client closed request" status:
+// the client is gone, but the code still lands in logs and metrics.
+var wireCodes = [...]struct {
+	code   string
+	status int
+}{
+	{"ok", http.StatusOK},
+	{string(engine.CodeInvalidRequest), http.StatusBadRequest},
+	{string(engine.CodeSessionNotFound), http.StatusNotFound},
+	{string(engine.CodeCanceled), 499},
+	{string(engine.CodeDeadlineExceeded), http.StatusGatewayTimeout},
+	{string(engine.CodeOverloaded), http.StatusServiceUnavailable},
+	{string(engine.CodeInternal), http.StatusInternalServerError},
 }
 
 // routeStats is one route's latency histogram plus its responses
@@ -200,56 +207,28 @@ func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// statusForCode is the deterministic engine.Code → HTTP status table
-// (the v1 wire contract; see the README's status-code table). 499 is
-// the de-facto "client closed request" status: the client is gone, but
-// the code still lands in logs and metrics.
+// statusForCode looks the engine.Code's HTTP status up in wireCodes.
+// An unknown code (none exists: TestWireCodesTable requires a row for
+// every declared constant) degrades to 500.
 func statusForCode(c engine.Code) int {
-	switch c {
-	case engine.CodeInvalidRequest:
-		return http.StatusBadRequest // 400
-	case engine.CodeSessionNotFound:
-		return http.StatusNotFound // 404
-	case engine.CodeCanceled:
-		return 499
-	case engine.CodeDeadlineExceeded:
-		return http.StatusGatewayTimeout // 504
-	case engine.CodeOverloaded:
-		return http.StatusServiceUnavailable // 503
-	case engine.CodeInternal:
-		return http.StatusInternalServerError // 500
-	default:
-		// Unknown codes (none exist today; the wirecodes lint forces an
-		// explicit case above for every declared constant) degrade to 500.
-		return http.StatusInternalServerError // 500
+	for _, w := range wireCodes[1:] {
+		if w.code == string(c) {
+			return w.status
+		}
 	}
+	return http.StatusInternalServerError
 }
 
-// codeIndexForStatus inverts statusForCode into a wireCodes index
-// (2xx → "ok"); the two tables form a bijection over the codes the
-// daemon emits, so bucketing by written status is exact.
+// codeIndexForStatus buckets a written status into its wireCodes row:
+// below 400 is "ok", an error status the table does not name is
+// "internal" (the last row).
 func codeIndexForStatus(status int) int {
 	if status < 400 {
 		return 0
 	}
-	var c engine.Code
-	switch status {
-	case http.StatusBadRequest:
-		c = engine.CodeInvalidRequest
-	case http.StatusNotFound:
-		c = engine.CodeSessionNotFound
-	case 499:
-		c = engine.CodeCanceled
-	case http.StatusGatewayTimeout:
-		c = engine.CodeDeadlineExceeded
-	case http.StatusServiceUnavailable:
-		c = engine.CodeOverloaded
-	default:
-		c = engine.CodeInternal
-	}
-	for i, name := range wireCodes {
-		if name == string(c) {
-			return i
+	for i, w := range wireCodes[1:] {
+		if w.status == status {
+			return i + 1
 		}
 	}
 	return len(wireCodes) - 1
@@ -908,9 +887,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		st := s.routes[route]
 		snap := st.hist.Snapshot()
 		fmt.Fprintf(w, "cachemind_route_requests_total{route=%q} %d\n", route, snap.Count)
-		for ci, code := range wireCodes {
+		for ci, wc := range wireCodes {
 			fmt.Fprintf(w, "cachemind_route_responses_total{route=%q,code=%q} %d\n",
-				route, code, st.codes[ci].Load())
+				route, wc.code, st.codes[ci].Load())
 		}
 		for _, q := range []float64{0.5, 0.95, 0.99} {
 			fmt.Fprintf(w, "cachemind_route_latency_ms{route=%q,quantile=%q} %.3f\n",

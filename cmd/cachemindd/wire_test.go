@@ -27,13 +27,13 @@ func TestWireCodesTable(t *testing.T) {
 		t.Fatal("found no engine.Code constants — the parser lost track of errors.go")
 	}
 	documented := readmeStatuses(t, filepath.Join("..", "..", "README.md"))
-	if wireCodes[0] != "ok" {
-		t.Fatalf("wireCodes[0] = %q, want \"ok\" (2xx responses bucket there)", wireCodes[0])
+	if wireCodes[0].code != "ok" {
+		t.Fatalf("wireCodes[0] = %q, want \"ok\" (2xx responses bucket there)", wireCodes[0].code)
 	}
 	for _, c := range codes {
 		row := -1
-		for i, name := range wireCodes {
-			if name == c {
+		for i, w := range wireCodes {
+			if w.code == c {
 				row = i
 			}
 		}
@@ -44,7 +44,7 @@ func TestWireCodesTable(t *testing.T) {
 		status := statusForCode(engine.Code(c))
 		if got := codeIndexForStatus(status); got != row {
 			t.Errorf("code %q: status %d buckets into wireCodes row %d (%q), want row %d",
-				c, status, got, wireCodes[got], row)
+				c, status, got, wireCodes[got].code, row)
 		}
 		doc, ok := documented[c]
 		if !ok {
@@ -59,9 +59,9 @@ func TestWireCodesTable(t *testing.T) {
 	for _, c := range codes {
 		declared[c] = true
 	}
-	for _, name := range wireCodes {
-		if !declared[name] {
-			t.Errorf("wireCodes row %q names no engine.Code constant", name)
+	for _, w := range wireCodes {
+		if !declared[w.code] {
+			t.Errorf("wireCodes row %q names no engine.Code constant", w.code)
 		}
 	}
 }
