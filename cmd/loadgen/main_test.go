@@ -532,7 +532,11 @@ func stubDaemon(t *testing.T) (*httptest.Server, *atomic.Int64, *atomic.Int64) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		fmt.Fprintf(w, `{"answer":"stub","cached":%v}`, singles.Load() > 1)
+		tier := "cold"
+		if singles.Load() > 1 {
+			tier = "exact"
+		}
+		fmt.Fprintf(w, `{"answer":"stub","cached":%v,"cache_tier":%q}`, tier == "exact", tier)
 	})
 	mux.HandleFunc("POST /v1/ask/batch", func(w http.ResponseWriter, r *http.Request) {
 		batches.Add(1)
@@ -580,10 +584,9 @@ func TestRunHTTPDriver(t *testing.T) {
 	if report.Errors != 0 || report.Cache.Hits != 9 {
 		t.Fatalf("report = %d errors, %d hits (stub caches all but the first)", report.Errors, report.Cache.Hits)
 	}
-	// The single endpoint omits cache_tier (a pre-v4 server): cached
-	// answers must fall back to counting as exact hits.
+	// The single endpoint reports every cached answer as an exact hit.
 	if report.Cache.ExactHits != 9 || report.Cache.SemanticHits != 0 {
-		t.Fatalf("legacy-wire tier split = %d/%d, want 9/0", report.Cache.ExactHits, report.Cache.SemanticHits)
+		t.Fatalf("wire tier split = %d/%d, want 9/0", report.Cache.ExactHits, report.Cache.SemanticHits)
 	}
 
 	cfg.batch = 5

@@ -363,8 +363,7 @@ func (p *askPlan) at(idx int64) (session, question string) {
 // outcome is one asked question as the client observed it: answered
 // (with the serving tier), canceled by the request context, or failed.
 type outcome struct {
-	cached   bool
-	tier     string // engine.CacheTier as a string ("" on old servers)
+	tier     string // engine.CacheTier as a string
 	text     string // the answer, for the determinism digest
 	canceled bool
 	err      error
@@ -391,7 +390,7 @@ func (d *inprocDriver) do(ctx context.Context, items []engine.Request) []outcome
 	for i, r := range results {
 		switch {
 		case r.Err == nil:
-			out[i] = outcome{cached: r.Response.Cached, tier: string(r.Response.Tier), text: r.Response.Text}
+			out[i] = outcome{tier: string(r.Response.Tier), text: r.Response.Text}
 		case engine.IsCancellation(engine.ErrorCode(r.Err)):
 			out[i] = outcome{canceled: true, err: r.Err}
 		default:
@@ -432,7 +431,6 @@ type wireErr struct {
 // wireAnswer is the subset of the daemon's reply the loop needs.
 type wireAnswer struct {
 	Answer    string   `json:"answer"`
-	Cached    bool     `json:"cached"`
 	CacheTier string   `json:"cache_tier"`
 	Error     *wireErr `json:"error"`
 }
@@ -487,13 +485,7 @@ func wireOutcome(ans wireAnswer, err error) outcome {
 		}
 		return outcome{err: werr}
 	}
-	tier := ans.CacheTier
-	if tier == "" && ans.Cached {
-		// Pre-v4 server without cache_tier: a cached answer can only
-		// have been an exact hit.
-		tier = string(engine.TierExact)
-	}
-	return outcome{cached: ans.Cached, tier: tier, text: ans.Answer}
+	return outcome{tier: ans.CacheTier, text: ans.Answer}
 }
 
 // requestOutcome classifies a whole-request failure, treating a
