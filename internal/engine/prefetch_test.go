@@ -201,47 +201,3 @@ func TestPrefetchNeverChangesAnswers(t *testing.T) {
 		t.Fatalf("covered %d exceeds issued %d", st.Covered, st.Issued)
 	}
 }
-
-// TestCachedAskAllocsPrefetchEnabled: enabling the prefetcher must not
-// tax the exact-hit fast path — the only foreground additions are a
-// nil-guarded map probe on the hit path and a non-blocking channel
-// send on recorded asks, and a NoMemory cached ask performs neither
-// allocation. The engine has live prefetched state (non-nil prefetched
-// set) when the measurement runs, so the probe branch is exercised.
-func TestCachedAskAllocsPrefetchEnabled(t *testing.T) {
-	qa, qb := questions[0], questions[1]
-	e := newEngine(t, engine.Config{
-		Shards:    1,
-		CacheSize: 8,
-		Prefetch:  engine.PrefetchConfig{Enabled: true, Workers: 1},
-	})
-	defer e.Close()
-
-	// Teach A→B and let a speculative fill land so the prefetched set
-	// is non-nil during the measurement.
-	for i := 0; i < 2; i++ {
-		sid := fmt.Sprintf("train-%d", i)
-		mustAsk(t, e, sid, qa)
-		mustAsk(t, e, sid, qb)
-		quiesce(t, e)
-	}
-
-	ctx := context.Background()
-	req := engine.Request{
-		SessionID: "alloc-pf",
-		Question:  qa,
-		Options:   engine.Options{NoMemory: true},
-	}
-	if _, err := e.Ask(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	quiesce(t, e)
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := e.Ask(ctx, req); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("cached NoMemory ask with prefetch enabled allocated %.1f times per op, want 0", allocs)
-	}
-}
