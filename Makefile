@@ -35,8 +35,8 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags race ./...
 
-# lint builds cachemindlint (internal/lint: four invariant-enforcing
-# analysis passes — noalloc, determinism, ctxflow, lockscope; see
+# lint builds cachemindlint (internal/lint: three invariant-enforcing
+# analysis passes — determinism, ctxflow, lockscope; see
 # ARCHITECTURE.md "Enforced invariants")
 # and runs it through go vet's -vettool protocol over every package,
 # twice for vet/race parity exactly like the stock `vet` target.

@@ -1,7 +1,6 @@
-// Command cachemindlint is the repository's invariant linter: four
-// static-analysis passes (noalloc, determinism, ctxflow, lockscope —
-// see internal/lint) compiled into a `go vet -vettool=` compatible
-// binary.
+// Command cachemindlint is the repository's invariant linter: three
+// static-analysis passes (determinism, ctxflow, lockscope — see
+// internal/lint) compiled into a `go vet -vettool=` compatible binary.
 //
 // Usage (what `make lint` runs):
 //

@@ -34,8 +34,6 @@ func (p *lruList) OnHit(key string) {
 // OnHitBytes is OnHit for a key still in its pooled scratch bytes —
 // the map probe compiles to a zero-copy lookup, so the default
 // policy's hit path allocates nothing.
-//
-//cachemind:noalloc
 func (p *lruList) OnHitBytes(key []byte) {
 	if el, ok := p.at[string(key)]; ok {
 		p.ll.MoveToFront(el)
@@ -158,8 +156,6 @@ func newAnswerCache(capacity int, pol policy.CachePolicy, semantic bool) *answer
 // without a string materialization — so an exact hit allocates
 // nothing. It does not count hits or misses — see the answerCache
 // comment.
-//
-//cachemind:noalloc
 func (c *answerCache) touch(key []byte) (Answer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -174,7 +170,6 @@ func (c *answerCache) touch(key []byte) (Answer, bool) {
 		// per prefetched entry ever, so the steady-state hit path stays
 		// allocation-free.
 		if _, pf := c.prefetched[string(key)]; pf {
-			//cachemind:allow-alloc at most once per prefetched entry ever (see comment above)
 			delete(c.prefetched, string(key))
 			c.covered.Add(1)
 		}

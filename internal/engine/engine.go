@@ -115,11 +115,12 @@
 // # Allocation discipline
 //
 // The cached exact-hit path is allocation-free: an Ask served from the
-// exact tier performs zero heap allocations with Options.NoMemory
-// (TestCachedAskAllocs; cmd/loadgen's -max-allocs gate in CI), and
+// exact tier performs zero heap allocations with Options.NoMemory, and
 // under one amortized when it records its turn — an append to the
-// session's log (TestCachedAskAllocsWithMemory). The mechanics, and
-// the ownership rules they impose:
+// session's log. TestCachedAskAllocs measures both shapes, with the
+// semantic tier and the prefetcher on and off, and cmd/loadgen's
+// -max-allocs gate measures the recorded shape in CI. The mechanics,
+// and the ownership rules they impose:
 //
 //   - The (retriever, model, question) cache key is rendered into a
 //     pooled askScratch buffer (scratchPool) instead of a fresh string,
@@ -522,8 +523,6 @@ const scratchCap = 64 << 10
 var scratchPool = sync.Pool{New: func() any { return new(askScratch) }}
 
 // putScratch returns sc to the pool, dropping oversized buffers.
-//
-//cachemind:noalloc
 func putScratch(sc *askScratch) {
 	if cap(sc.key) <= scratchCap {
 		scratchPool.Put(sc)
@@ -533,8 +532,6 @@ func putScratch(sc *askScratch) {
 // cacheKey renders the (retriever, model, question) cache triple into
 // sc.key — the same bytes Engine.keyPrefix+question would concatenate,
 // without the per-ask string allocation.
-//
-//cachemind:noalloc
 func (e *Engine) cacheKey(sc *askScratch, question string) []byte {
 	sc.key = append(append(sc.key[:0], e.keyPrefix...), question...)
 	return sc.key
@@ -641,11 +638,8 @@ func (e *Engine) Ask(ctx context.Context, req Request) (Response, error) {
 // allocates nothing; every miss path materializes the heap string once
 // — the flight table, the cache insert and the eviction policy all
 // retain it — and returns the scratch before any slow work runs.
-// (Every miss-path allocation below carries an allow-alloc waiver
-// naming its retention reason; the waiver set IS the allocation
-// budget.)
-//
-//cachemind:noalloc
+// (TestCachedAskAllocs measures the hit path's budget: 0 allocs per
+// NoMemory hit, with or without the semantic tier and the prefetcher.)
 func (e *Engine) cachedAsk(ctx context.Context, shard int, keyHash uint32, sc *askScratch, question string, opts Options) (Answer, CacheTier, float64, error) {
 	// The key's hash picks the cache shard and, independently, the
 	// flight shard (the two tables may run at different shard counts —
@@ -664,7 +658,6 @@ func (e *Engine) cachedAsk(ctx context.Context, shard int, keyHash uint32, sc *a
 	// entry, policy state), so materialize it as a string once and
 	// release the scratch — copying here keeps the pooled bytes from
 	// ever being aliased past this ask.
-	//cachemind:allow-alloc once per exact miss; flight map, cache entry and policy retain the key
 	key := string(sc.key)
 	putScratch(sc)
 	flight := e.flights[shardIndexHash(keyHash, len(e.flights))]
@@ -677,7 +670,6 @@ func (e *Engine) cachedAsk(ctx context.Context, shard int, keyHash uint32, sc *a
 	var qvec *embed.Vector
 	if e.semThreshold > 0 {
 		v := embed.Embed(question)
-		//cachemind:allow-alloc once per exact miss; the vector outlives the ask on publish
 		qvec = &v
 		min := e.semThreshold
 		if opts.MinSimilarity > 0 {
@@ -730,7 +722,6 @@ func (e *Engine) cachedAsk(ctx context.Context, shard int, keyHash uint32, sc *a
 			}
 			continue
 		}
-		//cachemind:allow-alloc once per cold leader; followers share this call record
 		c := &inflightCall{done: make(chan struct{})}
 		flight.inflight[key] = c
 		flight.mu.Unlock()
@@ -920,8 +911,6 @@ func (e *Engine) record(sessionID, question, answer string) {
 // to its most recent maxTurns turns at twice that bound: the copy
 // amortizes to O(1) per turn, the survivors keep their vectors, and
 // the backing array never outgrows the bound.
-//
-//cachemind:noalloc
 func (e *Engine) appendTurn(conv *memory.Conversation, question, answer string) {
 	conv.Add(question, answer)
 	if e.maxTurns > 0 && conv.Len() >= 2*e.maxTurns {

@@ -152,8 +152,6 @@ func newPrefetcher(e *Engine, cfg PrefetchConfig) *prefetcher {
 // observe is the ask path's only contact with the prefetcher: one
 // non-blocking send. A full queue drops the observation — foreground
 // latency is never spent on background bookkeeping.
-//
-//cachemind:noalloc
 func (p *prefetcher) observe(sid, question string) {
 	select {
 	case p.obs <- prefetchObs{sid: sid, question: question}:

@@ -52,8 +52,6 @@ func shardIndex(key string, n int) int {
 // materialized string), so the hash is computed once per ask and reused
 // for every shard selection — cache and flight — instead of rehashed
 // per table.
-//
-//cachemind:noalloc
 func fnv32a[T string | []byte](key T) uint32 {
 	const (
 		offset32 = 2166136261
@@ -68,8 +66,6 @@ func fnv32a[T string | []byte](key T) uint32 {
 }
 
 // shardIndexHash maps an fnv32a hash to a shard index.
-//
-//cachemind:noalloc
 func shardIndexHash(h uint32, n int) int {
 	return int(h % uint32(n))
 }

@@ -12,13 +12,6 @@
 //
 // # The analyzers
 //
-//   - noalloc      — functions annotated //cachemind:noalloc (the
-//     cached exact-hit ask path) may not contain allocating
-//     constructs: fmt/errors calls, string<->[]byte conversions
-//     outside zero-copy contexts, make/new, escaping composite
-//     literals, closures, interface boxing, string concatenation.
-//     Sanctioned miss-path allocations carry a
-//     //cachemind:allow-alloc waiver on or above the line.
 //   - determinism  — packages (or files) marked
 //     //cachemind:deterministic may not call time.Now/Since/Until or
 //     unseeded math/rand top-level functions, and may not range over
@@ -33,10 +26,12 @@
 //     contain channel sends or calls into the slow pipeline
 //     (Retrieve/Answer/AnalysisAnswer/Invoke) or HTTP round-trips.
 //
-// Contracts the compiler or one table test can check live there
-// instead: the eviction seam is a single interface
-// (policy.CachePolicy), and the wire codes are one table in
-// cmd/cachemindd pinned by its TestWireCodesTable.
+// Contracts the compiler or a test can check live there instead: the
+// eviction seam is a single interface (policy.CachePolicy), the wire
+// codes are one table in cmd/cachemindd pinned by its
+// TestWireCodesTable, and the zero-allocation cached ask is measured
+// by internal/engine's TestCachedAskAllocs and loadgen's -max-allocs
+// gate.
 //
 // Each analyzer ships with positive and negative fixtures under
 // testdata/src (run by linttest, an analysistest-style harness), so a
@@ -102,7 +97,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers is the registered suite, in the order the driver runs it.
 var Analyzers = []*Analyzer{
-	NoAllocAnalyzer,
 	DeterminismAnalyzer,
 	CtxFlowAnalyzer,
 	LockScopeAnalyzer,
@@ -113,8 +107,6 @@ var Analyzers = []*Analyzer{
 // Directive spellings. A directive is a //cachemind:<verb> comment; the
 // verb may be followed by arguments (a scope word, a waiver reason).
 const (
-	dirNoAlloc       = "noalloc"       // on a function: allocation-free contract
-	dirAllowAlloc    = "allow-alloc"   // line waiver for noalloc
 	dirDeterministic = "deterministic" // on a package clause: deterministic scope
 	dirAllowNonDet   = "allow-nondet"  // line waiver for determinism
 	dirAllowCtx      = "allow-ctx"     // line waiver for ctxflow
@@ -132,19 +124,6 @@ func parseDirective(c *ast.Comment) (verb, args string, ok bool) {
 	rest := strings.TrimPrefix(c.Text, directivePrefix)
 	verb, args, _ = strings.Cut(rest, " ")
 	return strings.TrimSpace(verb), strings.TrimSpace(args), true
-}
-
-// hasDirective reports whether the comment group carries the verb.
-func hasDirective(g *ast.CommentGroup, verb string) bool {
-	if g == nil {
-		return false
-	}
-	for _, c := range g.List {
-		if v, _, ok := parseDirective(c); ok && v == verb {
-			return true
-		}
-	}
-	return false
 }
 
 // fileDirectives indexes one file's line-waiver comments by line.
@@ -170,7 +149,7 @@ func (p *Pass) fileDirective(f *ast.File) *fileDirectives {
 				continue
 			}
 			switch verb {
-			case dirAllowAlloc, dirAllowNonDet, dirAllowCtx, dirAllowLock:
+			case dirAllowNonDet, dirAllowCtx, dirAllowLock:
 				line := p.Fset.Position(c.Pos()).Line
 				m := d.waivers[verb]
 				if m == nil {
@@ -196,16 +175,6 @@ func (p *Pass) waived(f *ast.File, pos token.Pos, verb string) bool {
 		return false
 	}
 	return m[p.Fset.Position(pos).Line]
-}
-
-// fileFor returns the *ast.File containing pos.
-func (p *Pass) fileFor(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }
 
 // ---- shared type helpers ----------------------------------------------
@@ -241,41 +210,6 @@ func calleePkgFunc(info *types.Info, call *ast.CallExpr) (pkgPath, name string, 
 		return "", "", false
 	}
 	return fn.Pkg().Path(), fn.Name(), true
-}
-
-// isTypeConversion reports whether call is a type conversion (not a
-// function call), returning the target type.
-func isTypeConversion(info *types.Info, call *ast.CallExpr) (types.Type, bool) {
-	tv, ok := info.Types[call.Fun]
-	if !ok || !tv.IsType() {
-		return nil, false
-	}
-	return tv.Type, true
-}
-
-// isString / isByteSlice classify conversion operand types.
-func isString(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-func isByteOrRuneSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune || b.Kind() == types.Uint8 || b.Kind() == types.Int32)
-}
-
-// pointerShaped reports whether values of t are stored directly in an
-// interface word (no heap allocation when boxed).
-func pointerShaped(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return true
-	}
-	return false
 }
 
 // funcDisplayName renders a function declaration's name, with the

@@ -11,10 +11,6 @@ import (
 // silent) and deliberate violations (marked with want comments, which
 // must fire) — so a no-op regression in an analyzer fails its test.
 
-func TestNoAlloc(t *testing.T) {
-	linttest.Run(t, lint.NoAllocAnalyzer, "noalloc")
-}
-
 func TestDeterminism(t *testing.T) {
 	linttest.Run(t, lint.DeterminismAnalyzer, "determinism")
 }
@@ -28,9 +24,9 @@ func TestLockScope(t *testing.T) {
 }
 
 // TestRegistry pins the suite composition: the driver runs exactly
-// these four passes.
+// these three passes.
 func TestRegistry(t *testing.T) {
-	want := []string{"noalloc", "determinism", "ctxflow", "lockscope"}
+	want := []string{"determinism", "ctxflow", "lockscope"}
 	if len(lint.Analyzers) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(lint.Analyzers), len(want))
 	}

@@ -34,14 +34,8 @@ package lintsmoke
 
 import (
 	"context"
-	"fmt"
 	"time"
 )
-
-//cachemind:noalloc
-func hotPath(n int) string {
-	return fmt.Sprintf("%d", n)
-}
 
 func clock() time.Time {
 	return time.Now()
@@ -67,7 +61,7 @@ if [ "$status" -eq 0 ]; then
     exit 1
 fi
 
-for pass in noalloc determinism ctxflow; do
+for pass in determinism ctxflow; do
     if ! grep -q "\[$pass\]" "$out_file"; then
         echo "FAIL: expected a [$pass] diagnostic in the vet output" >&2
         exit 1
