@@ -472,32 +472,7 @@ func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	writeAsk(w, toWire(resp))
-}
-
-// writeAsk serves one successful ask reply through the fast-path
-// encoder (see encode.go): the envelope is rendered into a pooled
-// buffer and written in one call, byte-identical to writeJSON's output.
-// The rare value only encoding/json can decide on (a non-finite float)
-// falls back to writeJSON so both paths behave identically.
-//
-//cachemind:noalloc
-func writeAsk(w http.ResponseWriter, resp askResponse) {
-	eb := encodeBufPool.Get().(*encodeBuf)
-	b, ok := appendAskResponse(eb.b[:0], &resp)
-	eb.b = b
-	if !ok {
-		putEncodeBuf(eb)
-		//cachemind:allow-alloc non-finite-float fallback: off the fast path by construction
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	// json.Encoder terminates every value with a newline; match it.
-	eb.b = append(eb.b, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(eb.b)
-	putEncodeBuf(eb)
+	writeJSON(w, http.StatusOK, toWire(resp))
 }
 
 // maxBatchItems bounds one POST /v1/ask/batch request, and
