@@ -157,7 +157,7 @@ func main() {
 		100*report.Cache.HitRate, 100*report.Cache.ExactHitRate, 100*report.Cache.SemanticHitRate,
 		report.Errors, report.Canceled)
 	if report.AllocsPerCachedAsk != nil {
-		fmt.Printf("cached ask: %.2f allocs/op (exact hit, NoMemory)\n", *report.AllocsPerCachedAsk)
+		fmt.Printf("cached ask: %.2f allocs/op (exact hit, recorded turn)\n", *report.AllocsPerCachedAsk)
 	}
 	if report.Prefetch != nil {
 		fmt.Printf("prefetch: %d predicted, %d issued, %d covered, %d wasted, %d dropped → covered miss rate %.1f%%, wasted rate %.1f%%\n",

@@ -233,10 +233,11 @@ func TestRunWarmedMeanBetweenPercentiles(t *testing.T) {
 
 // TestRunAllocProbe: an in-process run with the probe enabled reports
 // allocs_per_cached_ask, and the number agrees with the engine's
-// zero-allocation contract for the exact-hit NoMemory path — exactly 0,
+// allocation contract for an exact hit that records its turn in
+// session memory, the shape every ask of the mix takes — exactly 0,
 // under the same rounded-down averaging contract as
-// testing.AllocsPerRun (engine.TestCachedAskAllocs pins the same zero
-// at the unit level).
+// testing.AllocsPerRun (engine.TestCachedAskAllocs's recorded row
+// measures the same path at the unit level).
 func TestRunAllocProbe(t *testing.T) {
 	cfg := smokeConfig(t)
 	cfg.measureAllocs = true

@@ -202,9 +202,10 @@ type Report struct {
 	// cache policy (answers are pure functions of the question).
 	AnswerDigest string `json:"answer_digest"`
 	// AllocsPerCachedAsk is the measured heap-allocation count per
-	// exact-hit cached ask (NoMemory, the zero-alloc fast path), probed
-	// after the measured run on the in-process engine; absent in http
-	// mode or when caching is disabled. The -max-allocs strict gate and
+	// exact-hit cached ask that records its turn in session memory, as
+	// every ask of the mix does, probed after the measured run on the
+	// in-process engine; absent in http mode or when caching is
+	// disabled. The -max-allocs strict gate and
 	// engine.TestCachedAskAllocs enforce the same budget.
 	AllocsPerCachedAsk *float64 `json:"allocs_per_cached_ask,omitempty"`
 	// Thresholds echoes the configured perf-gate levels (absent when no
@@ -1065,9 +1066,10 @@ func runPass(cfg config, store *db.Store, plan *askPlan) (*Report, error) {
 }
 
 // measureCachedAskAllocs measures heap allocations per exact-hit cached
-// ask (NoMemory — the engine's documented zero-alloc fast path) on the
-// live engine, so a non-default eviction policy's hit-path cost shows
-// up too. The testing package's AllocsPerRun is unavailable outside
+// ask on the live engine, in the shape every ask of the mix takes: the
+// ask records its turn in session memory (an append to the session's
+// log, under one allocation amortized). A non-default eviction
+// policy's hit-path cost shows up too. The testing package's AllocsPerRun is unavailable outside
 // tests, so this replicates its method — pin to one P, prime, read the
 // Mallocs delta over a run burst, round the average down to an integer
 // exactly as AllocsPerRun documents (sub-1 noise is measurement
@@ -1079,11 +1081,7 @@ func runPass(cfg config, store *db.Store, plan *askPlan) (*Report, error) {
 // the minimum converges on it.
 func measureCachedAskAllocs(eng *engine.Engine, question string) (float64, bool) {
 	ctx := context.Background()
-	req := engine.Request{
-		SessionID: "loadgen-alloc-probe",
-		Question:  question,
-		Options:   engine.Options{NoMemory: true},
-	}
+	req := engine.Request{SessionID: "loadgen-alloc-probe", Question: question}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// Prime: ensure the answer is cached (the run normally already did)
 	// and the scratch pools are populated, so the measurement sees the
