@@ -205,8 +205,8 @@ type Report struct {
 	// exact-hit cached ask that records its turn in session memory, as
 	// every ask of the mix does, probed after the measured run on the
 	// in-process engine; absent in http mode or when caching is
-	// disabled. The -max-allocs strict gate and
-	// engine.TestCachedAskAllocs enforce the same budget.
+	// disabled. The -max-allocs strict gate and engine.TestCachedAskAllocs
+	// enforce the same budget.
 	AllocsPerCachedAsk *float64 `json:"allocs_per_cached_ask,omitempty"`
 	// Thresholds echoes the configured perf-gate levels (absent when no
 	// gate is set); -strict enforces them.
@@ -1069,16 +1069,17 @@ func runPass(cfg config, store *db.Store, plan *askPlan) (*Report, error) {
 // ask on the live engine, in the shape every ask of the mix takes: the
 // ask records its turn in session memory (an append to the session's
 // log, under one allocation amortized). A non-default eviction
-// policy's hit-path cost shows up too. The testing package's AllocsPerRun is unavailable outside
-// tests, so this replicates its method — pin to one P, prime, read the
-// Mallocs delta over a run burst, round the average down to an integer
-// exactly as AllocsPerRun documents (sub-1 noise is measurement
-// artifact, not per-op cost) — and takes the minimum over several
-// bursts: the probe runs right after a garbage-heavy load pass, so a
-// single burst can absorb ambient noise (a GC emptying the scratch
-// pools mid-burst, background sweeping) that per-ask cost accounting
-// must not include. The true per-op cost is a floor under every burst;
-// the minimum converges on it.
+// policy's hit-path cost shows up too. The testing package's
+// AllocsPerRun is unavailable outside tests, so this replicates its
+// method — pin to one P, prime, read the Mallocs delta over a run
+// burst, round the average down to an integer exactly as AllocsPerRun
+// documents (sub-1 noise is measurement artifact, not per-op cost) —
+// and takes the minimum over several bursts: the probe runs right
+// after a garbage-heavy load pass, so a single burst can absorb ambient
+// noise (a GC emptying the scratch pools mid-burst, background
+// sweeping) that per-ask cost accounting must not include. The true
+// per-op cost is a floor under every burst; the minimum converges on
+// it.
 func measureCachedAskAllocs(eng *engine.Engine, question string) (float64, bool) {
 	ctx := context.Background()
 	req := engine.Request{SessionID: "loadgen-alloc-probe", Question: question}

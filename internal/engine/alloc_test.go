@@ -9,14 +9,9 @@ import (
 )
 
 // TestCachedAskAllocs pins the allocation budget of the exact-hit fast
-// path, one row per configuration the hit path branches on. It is the
-// only check of that contract the build runs: it measures every
-// function the hit path reaches (the pooled key scratch, the single
-// FNV hash and shard pick, the zero-copy cache probe, the policy's
-// OnHitBytes hook, the session-log append and the prefetcher's
-// observation send) rather than inspecting their source, and
-// cmd/loadgen enforces the same budget end to end in CI via
-// -max-allocs.
+// path, one row per configuration the hit path branches on, so every
+// function the hit path reaches is measured. cmd/loadgen enforces the
+// same budget end to end in CI via -max-allocs.
 //
 //   - A NoMemory hit allocates nothing: the key is built in pooled
 //     scratch, hashed once and probed zero-copy, and the cached answer
