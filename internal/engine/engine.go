@@ -94,8 +94,8 @@
 //
 // CacheHits/CacheMisses count answered cache-routed asks, not raw map
 // probes: a hit is an ask served without running the pipeline (a
-// direct cache hit, a coalesced single-flight follower, or a
-// post-abort peek), a miss is an ask that ran it. Canceled or failed
+// direct cache hit, a coalesced single-flight follower, or the cache
+// recheck before leading a flight), a miss is an ask that ran it. Canceled or failed
 // asks and BypassCache asks count neither.
 //
 // # Sharding
@@ -624,13 +624,13 @@ func (e *Engine) Ask(ctx context.Context, req Request) (Response, error) {
 //
 // Hit/miss accounting happens here, exactly once per answered ask: a
 // hit is an ask served without running the pipeline (direct cache hit,
-// semantic serve, coalesced follower, or a post-abort peek), a miss is
-// an ask whose pipeline ran to completion. Canceled and failed asks
+// semantic serve, coalesced follower, or a recheck before leading), a
+// miss is an ask whose pipeline ran to completion. Canceled and failed asks
 // count neither — they were never answered — so hits+misses always
 // equals the number of answered cache-routed asks, whatever the
 // interleaving of leaders, followers and aborts; the semantic tier
 // adds a second *kind* of hit, never a second count. Coalesced
-// followers and post-abort peeks count as exact hits: they were served
+// followers and rechecks count as exact hits: they were served
 // under the byte-identical key, not by similarity.
 //
 // cachedAsk takes ownership of sc (the ask's key scratch): the exact-
@@ -716,11 +716,17 @@ func (e *Engine) cachedAsk(ctx context.Context, shard int, keyHash uint32, sc *a
 			if err := ctxError(ctx); err != nil {
 				return Answer{}, TierCold, 0, err
 			}
-			if ans, ok := cache.peek(key); ok {
-				cache.exactHits.Add(1)
-				return ans, TierExact, 0, nil
-			}
 			continue
+		}
+		// No flight: recheck the cache before leading one. A leader
+		// publishes before it retires its flight, so an ask whose probe
+		// above ran before that publish, and whose flight check runs
+		// after that retire, finds the answer here instead of running
+		// the pipeline a second time.
+		if ans, ok := cache.peek(key); ok {
+			flight.mu.Unlock()
+			cache.exactHits.Add(1)
+			return ans, TierExact, 0, nil
 		}
 		c := &inflightCall{done: make(chan struct{})}
 		flight.inflight[key] = c
@@ -1013,7 +1019,7 @@ type Stats struct {
 	// CacheHits/CacheMisses count answered cache-routed asks (both zero
 	// when caching is disabled): a hit was served without running the
 	// pipeline (exact cache hit, semantic serve, coalesced single-
-	// flight follower, or post-abort peek), a miss ran it. Canceled/
+	// flight follower, or recheck before leading), a miss ran it. Canceled/
 	// failed asks and BypassCache asks count neither, so Hits+Misses
 	// equals the number of answered asks that went through the cache.
 	// CacheHits is always CacheExactHits+CacheSemanticHits — the split
@@ -1022,7 +1028,7 @@ type Stats struct {
 	CacheMisses uint64
 	// CacheExactHits counts hits served under the byte-identical
 	// (retriever, model, question) key — including coalesced followers
-	// and post-abort peeks, which ride the exact key.
+	// and rechecks before leading a flight, which ride the exact key.
 	CacheExactHits uint64
 	// CacheSemanticHits counts hits served by the semantic tier: a
 	// nearest cached neighbor at or above the effective threshold,

@@ -372,6 +372,39 @@ func TestConcurrentColdAsksCoalesce(t *testing.T) {
 	}
 }
 
+// TestConcurrentAsksRunOnePipelinePerQuestion: callers asking the same
+// questions in the same order run the pipeline once per question. An
+// ask that misses the cache just before a leader publishes, and checks
+// the flight table just after that leader retires, must recheck the
+// cache rather than lead a second pipeline. The window is narrow, so
+// the run asks many questions.
+func TestConcurrentAsksRunOnePipelinePerQuestion(t *testing.T) {
+	e := newEngine(t, engine.Config{})
+	const n, callers = 1000, 4
+	qs := make([]string, n)
+	for i := range qs {
+		qs[i] = fmt.Sprintf("%s (%d)", questions[i%len(questions)], i)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, q := range qs {
+				if _, err := ask(e, "s", q); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := e.Stats(); st.CacheMisses != n || st.CacheHits != n*(callers-1) {
+		t.Fatalf("%d callers over %d questions: %d misses, %d hits; want %d and %d",
+			callers, n, st.CacheMisses, st.CacheHits, n, n*(callers-1))
+	}
+}
+
 // TestSessionMemoryIsolation asserts turns recorded in one session
 // never appear in another, and that the full log round-trips.
 func TestSessionMemoryIsolation(t *testing.T) {
