@@ -95,8 +95,8 @@
 // CacheHits/CacheMisses count answered cache-routed asks, not raw map
 // probes: a hit is an ask served without running the pipeline (a
 // direct cache hit, a coalesced single-flight follower, or the cache
-// recheck before leading a flight), a miss is an ask that ran it. Canceled or failed
-// asks and BypassCache asks count neither.
+// recheck before leading a flight), a miss is an ask that ran it.
+// Canceled or failed asks and BypassCache asks count neither.
 //
 // # Sharding
 //
@@ -625,8 +625,8 @@ func (e *Engine) Ask(ctx context.Context, req Request) (Response, error) {
 // Hit/miss accounting happens here, exactly once per answered ask: a
 // hit is an ask served without running the pipeline (direct cache hit,
 // semantic serve, coalesced follower, or a recheck before leading), a
-// miss is an ask whose pipeline ran to completion. Canceled and failed asks
-// count neither — they were never answered — so hits+misses always
+// miss is an ask whose pipeline ran to completion. Canceled and failed
+// asks count neither — they were never answered — so hits+misses always
 // equals the number of answered cache-routed asks, whatever the
 // interleaving of leaders, followers and aborts; the semantic tier
 // adds a second *kind* of hit, never a second count. Coalesced
