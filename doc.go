@@ -42,10 +42,11 @@
 // contracts):
 //
 //   - internal/engine — the concurrent ask path: Engine.Ask(ctx,
-//     Request) behind hash-sharded session/cache/single-flight
-//     tables, a three-tier answer cache (exact → semantic → cold)
-//     with pluggable eviction policies, a zero-allocation cached ask,
-//     and the predictive background prefetcher.
+//     Request) behind a hash-sharded session table and a hash-sharded
+//     three-tier answer cache (exact → semantic → cold) whose shards
+//     also coalesce concurrent misses, with pluggable eviction
+//     policies, a zero-allocation cached ask, and the predictive
+//     background prefetcher.
 //   - internal/predict — the TAGE-style next-question predictor
 //     (tagged geometric-history tables over interned question IDs,
 //     Markov fallback) the prefetcher learns with.

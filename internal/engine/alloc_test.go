@@ -17,8 +17,9 @@ import (
 //     scratch, hashed once and probed zero-copy, and the cached answer
 //     is served without copying. The semantic tier and the prefetcher
 //     must not change that: the embedding is computed only on an exact
-//     miss, and the prefetcher's only hit-path cost is a nil-guarded
-//     map probe (the engine has live prefetched state when it runs).
+//     miss, and the prefetcher's only hit-path cost is reading the
+//     entry's prefetched mark (the engine has live prefetched entries
+//     when it runs).
 //   - A recorded hit appends its turn to the session's log, which is
 //     compacted in place at twice the retention bound, so it allocates
 //     only when the log's backing array grows — under one alloc per op
@@ -56,7 +57,7 @@ func TestCachedAskAllocs(t *testing.T) {
 			defer e.Close()
 			if tc.cfg.Prefetch.Enabled {
 				// Teach questions[0]→questions[1] and let a speculative
-				// fill land, so the prefetched set is non-nil during
+				// fill land, so the cache holds a prefetched entry during
 				// the measurement.
 				for i := 0; i < 2; i++ {
 					sid := fmt.Sprintf("train-%d", i)

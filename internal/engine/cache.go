@@ -90,6 +90,14 @@ func (p *lruList) VictimForPrefetch(incoming string) (string, bool) {
 // backend can never serve a stale entry even if a cache were shared.
 // All methods are safe for concurrent use.
 //
+// The shard holds every state a key can be in — resident (entries,
+// possibly marked prefetched), in flight (inflight, the single-flight
+// table) or absent — under one mutex, as a hardware cache checks its
+// tag array and its miss status holding registers in one lookup. claim
+// and settle each read or change a key's state in one critical
+// section, so no demand ask or prefetch fill can find a key neither
+// resident nor in flight while its answer is published.
+//
 // When the engine's semantic tier is enabled, idx holds one question
 // vector per resident entry (same key) — the shard's slice of the
 // nearest-neighbor search space. It moves in lockstep with the entry
@@ -98,8 +106,9 @@ func (p *lruList) VictimForPrefetch(incoming string) (string, bool) {
 // Victim bypass adds nothing. idx.Len() == len(entries) is an
 // invariant the semantic test suite pins for every registered policy.
 //
-// The hit/miss counters are deliberately not advanced by touch/peek:
-// cachedAsk records exactly one hit or miss per answered ask based on
+// The hit/miss counters are deliberately not advanced by touch/claim:
+// cachedAsk (with settle counting a demand leader's miss) records
+// exactly one hit or miss per answered ask based on
 // how it was ultimately served (direct hit, semantic serve, coalesced
 // single-flight follower, or a pipeline run), so the totals track
 // answered cache-routed asks — not raw map probes, which would
@@ -108,19 +117,12 @@ func (p *lruList) VictimForPrefetch(incoming string) (string, bool) {
 // shard the *query* hashed to, matching Response.Shard, even when the
 // served neighbor resides elsewhere.
 type answerCache struct {
-	mu      sync.Mutex
-	cap     int
-	pol     policy.CachePolicy
-	entries map[string]Answer
-	idx     *embed.Index // nil unless the semantic tier is enabled
-
-	// prefetched marks resident entries that were inserted by a
-	// speculative prefetch fill and have not yet served a demand ask
-	// (guarded by mu; nil until the first prefetch insert, so engines
-	// without prefetching pay nothing). The bit is cleared — and covered
-	// advanced — on the entry's first demand serve; an entry evicted or
-	// bypassed with the bit still set advances wasted instead.
-	prefetched map[string]struct{}
+	mu       sync.Mutex
+	cap      int
+	pol      policy.CachePolicy
+	entries  map[string]cacheEntry
+	inflight map[string]*inflightCall
+	idx      *embed.Index // nil unless the semantic tier is enabled
 
 	exactHits    atomic.Uint64
 	semanticHits atomic.Uint64
@@ -128,6 +130,31 @@ type answerCache struct {
 	bypasses     atomic.Uint64
 	covered      atomic.Uint64
 	wasted       atomic.Uint64
+}
+
+// cacheEntry is one resident answer. prefetched marks an entry a
+// speculative prefetch fill inserted that has not yet served a demand
+// ask: the mark is cleared — and covered advanced — on the entry's
+// first demand serve; an entry evicted or overwritten with the mark
+// still set advances wasted instead.
+type cacheEntry struct {
+	ans        Answer
+	prefetched bool
+}
+
+// inflightCall is one in-progress uncached answer, registered in its
+// shard's inflight table by claim and retired by settle. Followers wait
+// on done and then share ans, or see err when the leader's context
+// aborted the pipeline (an aborted call is never published).
+type inflightCall struct {
+	done chan struct{}
+	ans  Answer
+	err  error
+	// prefetch marks a call led by the background prefetcher rather
+	// than a demand ask: demand followers coalescing onto it were
+	// served by speculative work, so they claim the entry's covered
+	// credit (see answerCache.coverFlight).
+	prefetch bool
 }
 
 // newAnswerCache creates a cache bounded to capacity entries (minimum
@@ -139,9 +166,10 @@ func newAnswerCache(capacity int, pol policy.CachePolicy, semantic bool) *answer
 		capacity = 1
 	}
 	c := &answerCache{
-		cap:     capacity,
-		pol:     pol,
-		entries: map[string]Answer{},
+		cap:      capacity,
+		pol:      pol,
+		entries:  map[string]cacheEntry{},
+		inflight: map[string]*inflightCall{},
 	}
 	if semantic {
 		c.idx = embed.NewIndex()
@@ -159,134 +187,159 @@ func newAnswerCache(capacity int, pol policy.CachePolicy, semantic bool) *answer
 func (c *answerCache) touch(key []byte) (Answer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ans, ok := c.entries[string(key)]
+	ent, ok := c.entries[string(key)]
 	if !ok {
 		return Answer{}, false
 	}
-	if c.prefetched != nil {
-		// First demand touch of a prefetched entry: the prefetch covered
-		// a would-be miss. The membership probe is a zero-copy lookup;
-		// the delete below materializes a string, but runs at most once
-		// per prefetched entry ever, so the steady-state hit path stays
-		// allocation-free.
-		if _, pf := c.prefetched[string(key)]; pf {
-			delete(c.prefetched, string(key))
-			c.covered.Add(1)
-		}
+	if ent.prefetched {
+		// The conversion allocates, but at most once per prefetched
+		// entry ever, so the steady-state hit path stays allocation-free.
+		c.cover(string(key), ent)
 	}
 	c.pol.OnHitBytes(key)
-	return ans, true
+	return ent.ans, true
 }
 
-// peek returns the cached answer without touching recency — used when
-// a single-flight retry re-checks the cache after a leader abort, so
-// one Ask never perturbs the policy state more than once.
-func (c *answerCache) peek(key string) (Answer, bool) {
+// claim returns the resident answer (call nil), the in-flight call to
+// follow (lead false), or a new call the caller now leads (lead true)
+// and must settle. A resident answer leaves recency alone — a demand
+// ask has already touched once, and a fill must not perturb the policy
+// — but a demand claim takes a prefetched entry's covered credit.
+func (c *answerCache) claim(key string, prefetch bool) (ans Answer, call *inflightCall, lead bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ans, ok := c.entries[key]
-	return ans, ok
+	if ent, ok := c.entries[key]; ok {
+		if ent.prefetched && !prefetch {
+			c.cover(key, ent)
+		}
+		return ent.ans, nil, false
+	}
+	if call, ok := c.inflight[key]; ok {
+		return Answer{}, call, false
+	}
+	call = &inflightCall{done: make(chan struct{}), prefetch: prefetch}
+	c.inflight[key] = call
+	return Answer{}, call, true
 }
 
-// put stores the answer under key. On a full cache the policy picks
-// the victim; a policy may instead decline the insertion entirely
-// (bypass), leaving the resident set untouched — sound because answers
-// are recomputable pure functions of the key. vec is the question's
+// settle publishes a led call's answer (put and a counted miss for a
+// demand call, putPrefetch for a fill) and retires the call in one
+// critical section, then wakes the followers. An aborted pipeline
+// (err != nil) is never published. vec is as for put.
+func (c *answerCache) settle(key string, call *inflightCall, ans Answer, err error, vec *embed.Vector) {
+	call.ans, call.err = ans, err
+	c.mu.Lock()
+	if err == nil {
+		if call.prefetch {
+			c.putPrefetch(key, ans, vec)
+		} else {
+			c.put(key, ans, vec)
+			c.misses.Add(1)
+		}
+	}
+	delete(c.inflight, key)
+	c.mu.Unlock()
+	close(call.done)
+}
+
+// put stores the answer under key and reports whether key is resident
+// afterward. Caller holds c.mu. On a full cache the policy picks the
+// victim; a policy may instead decline the insertion entirely (bypass),
+// leaving the resident set untouched — sound because answers are
+// recomputable pure functions of the key. vec is the question's
 // embedding for the semantic index; it must be non-nil whenever the
 // shard carries an index (cachedAsk computes it on every miss when the
 // tier is enabled) and is ignored otherwise. An evicted victim leaves
 // the index in the same critical section it leaves the entry map, for
 // every policy — the lockstep the semantic tier's soundness rests on
 // (a dangling vector would serve an answer that no longer exists).
-func (c *answerCache) put(key string, ans Answer, vec *embed.Vector) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		c.entries[key] = ans
+func (c *answerCache) put(key string, ans Answer, vec *embed.Vector) bool {
+	if old, ok := c.entries[key]; ok {
+		c.entries[key] = cacheEntry{ans: ans}
 		c.pol.OnHit(key) // refresh, exactly as the old MoveToFront did
-		// A demand overwrite of a still-unserved prefetched entry (a
-		// demand leader raced the fill's publish): the demand ask ran
-		// its own pipeline, so the speculative work served nobody.
-		if _, pf := c.prefetched[key]; pf {
-			delete(c.prefetched, key)
+		// Overwriting a still-unserved prefetched entry (a cache import
+		// of a key a fill published): the speculative work served nobody.
+		if old.prefetched {
 			c.wasted.Add(1)
 		}
-		return // idx already carries this key's vector
+		return true // idx already carries this key's vector
 	}
 	if len(c.entries) >= c.cap {
 		victim, bypass := c.pol.Victim(key)
 		if bypass {
 			c.bypasses.Add(1)
-			return
+			return false
 		}
 		c.evict(victim)
 	}
-	c.entries[key] = ans
+	c.entries[key] = cacheEntry{ans: ans}
 	c.pol.OnInsert(key)
-	if c.idx != nil && vec != nil {
-		c.idx.AddVec(key, *vec)
-	}
-}
-
-// evict removes victim from the entry map, the semantic index and the
-// prefetched set (counting a never-served prefetch as wasted). Caller
-// holds c.mu; the policy has already stopped tracking the victim.
-func (c *answerCache) evict(victim string) {
-	delete(c.entries, victim)
-	if c.idx != nil {
-		c.idx.Remove(victim)
-	}
-	if _, pf := c.prefetched[victim]; pf {
-		delete(c.prefetched, victim)
-		c.wasted.Add(1)
-	}
-}
-
-// putPrefetch stores a speculative prefetch fill under key, reporting
-// whether it landed. Unlike put it never refreshes an existing entry
-// (a resident key means the fill was redundant), routes the victim
-// choice and insertion through the policy's prefetch hooks
-// (VictimForPrefetch/OnInsertPrefetch — the native LRU inserts at the
-// recency midpoint; the simulator adapter marks
-// sim.AccessInfo.Prefetch), and marks the entry in the prefetched set
-// so its first demand serve counts covered. A policy bypass counts
-// wasted, not bypasses: bypasses tracks declined demand insertions.
-func (c *answerCache) putPrefetch(key string, ans Answer, vec *embed.Vector) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return false
-	}
-	if len(c.entries) >= c.cap {
-		victim, bypass := c.pol.VictimForPrefetch(key)
-		if bypass {
-			c.wasted.Add(1)
-			return true // counted here; the fill does not double-count
-		}
-		c.evict(victim)
-	}
-	c.entries[key] = ans
-	c.pol.OnInsertPrefetch(key)
-	if c.prefetched == nil {
-		c.prefetched = map[string]struct{}{}
-	}
-	c.prefetched[key] = struct{}{}
 	if c.idx != nil && vec != nil {
 		c.idx.AddVec(key, *vec)
 	}
 	return true
 }
 
+// evict removes victim from the entry map and the semantic index,
+// counting a never-served prefetch as wasted. Caller holds c.mu; the
+// policy has already stopped tracking the victim.
+func (c *answerCache) evict(victim string) {
+	if c.entries[victim].prefetched {
+		c.wasted.Add(1)
+	}
+	delete(c.entries, victim)
+	if c.idx != nil {
+		c.idx.Remove(victim)
+	}
+}
+
+// putPrefetch stores a speculative prefetch fill under key, marked
+// prefetched so its first demand serve counts covered. Caller holds
+// c.mu. Unlike put it never refreshes an existing entry, and routes the
+// victim choice and insertion through the policy's prefetch hooks
+// (VictimForPrefetch/OnInsertPrefetch — the native LRU inserts at the
+// recency midpoint; the simulator adapter marks
+// sim.AccessInfo.Prefetch). A fill that does not land — the key became
+// resident while it computed, or the policy bypassed it — served
+// nobody and counts wasted, not bypasses: bypasses tracks declined
+// demand insertions.
+func (c *answerCache) putPrefetch(key string, ans Answer, vec *embed.Vector) {
+	if _, ok := c.entries[key]; ok {
+		c.wasted.Add(1)
+		return
+	}
+	if len(c.entries) >= c.cap {
+		victim, bypass := c.pol.VictimForPrefetch(key)
+		if bypass {
+			c.wasted.Add(1)
+			return
+		}
+		c.evict(victim)
+	}
+	c.entries[key] = cacheEntry{ans: ans, prefetched: true}
+	c.pol.OnInsertPrefetch(key)
+	if c.idx != nil && vec != nil {
+		c.idx.AddVec(key, *vec)
+	}
+}
+
+// cover clears ent's prefetched mark on its first demand serve and
+// counts the covered miss. Caller holds c.mu and has checked the mark.
+func (c *answerCache) cover(key string, ent cacheEntry) {
+	ent.prefetched = false
+	c.entries[key] = ent
+	c.covered.Add(1)
+}
+
 // coverFlight records that a demand ask was served by coalescing onto
-// an in-flight (or just-published) prefetch fill for key: the entry's
-// covered credit is claimed exactly once, here or at its first demand
-// touch, whichever runs first.
+// a prefetch fill's call for key: the entry's covered credit is claimed
+// exactly once, here or at its first demand serve, whichever runs
+// first.
 func (c *answerCache) coverFlight(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, pf := c.prefetched[key]; pf {
-		delete(c.prefetched, key)
-		c.covered.Add(1)
+	if ent, ok := c.entries[key]; ok && ent.prefetched {
+		c.cover(key, ent)
 	}
 }
 
@@ -306,7 +359,7 @@ func (c *answerCache) bestSimilar(qv embed.Vector, min float64) (key string, ans
 		return "", Answer{}, 0, false
 	}
 	// Lockstep invariant: every indexed key is resident.
-	return m.ID, c.entries[m.ID], m.Score, true
+	return m.ID, c.entries[m.ID].ans, m.Score, true
 }
 
 // refresh bumps key's recency/priority state if it is still resident —

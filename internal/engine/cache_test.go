@@ -14,16 +14,24 @@ func newLRUCache(capacity int) *answerCache {
 	return newAnswerCache(capacity, newLRUList(), false)
 }
 
+// lockedPut is the test shorthand for a demand insert: put under the
+// shard lock it requires.
+func lockedPut(c *answerCache, key string, ans Answer, vec *embed.Vector) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.put(key, ans, vec)
+}
+
 func TestAnswerCacheLRU(t *testing.T) {
 	c := newLRUCache(2)
-	c.put("a", Answer{Text: "A"}, nil)
-	c.put("b", Answer{Text: "B"}, nil)
+	lockedPut(c, "a", Answer{Text: "A"}, nil)
+	lockedPut(c, "b", Answer{Text: "B"}, nil)
 
 	if ans, ok := c.touch([]byte("a")); !ok || ans.Text != "A" {
 		t.Fatalf("touch a = %+v, %v", ans, ok)
 	}
 	// "b" is now least recently used; inserting "c" evicts it.
-	c.put("c", Answer{Text: "C"}, nil)
+	lockedPut(c, "c", Answer{Text: "C"}, nil)
 	if _, ok := c.touch([]byte("b")); ok {
 		t.Fatal("b survived eviction at capacity 2")
 	}
@@ -40,8 +48,8 @@ func TestAnswerCacheLRU(t *testing.T) {
 
 func TestAnswerCacheUpdateExisting(t *testing.T) {
 	c := newLRUCache(2)
-	c.put("a", Answer{Text: "old"}, nil)
-	c.put("a", Answer{Text: "new"}, nil)
+	lockedPut(c, "a", Answer{Text: "old"}, nil)
+	lockedPut(c, "a", Answer{Text: "new"}, nil)
 	if ans, ok := c.touch([]byte("a")); !ok || ans.Text != "new" {
 		t.Fatalf("touch a = %+v, %v; want updated entry", ans, ok)
 	}
@@ -52,8 +60,8 @@ func TestAnswerCacheUpdateExisting(t *testing.T) {
 
 func TestAnswerCacheMinimumCapacity(t *testing.T) {
 	c := newLRUCache(0) // clamps to 1
-	c.put("a", Answer{Text: "A"}, nil)
-	c.put("b", Answer{Text: "B"}, nil)
+	lockedPut(c, "a", Answer{Text: "A"}, nil)
+	lockedPut(c, "b", Answer{Text: "B"}, nil)
 	if _, _, _, _, entries := c.counters(); entries != 1 {
 		t.Fatalf("entries = %d, want 1", entries)
 	}
@@ -62,23 +70,26 @@ func TestAnswerCacheMinimumCapacity(t *testing.T) {
 	}
 }
 
-// TestAnswerCachePeekLeavesRecencyAlone: peek must not perturb the
-// policy's eviction order — the property the single-flight retry loop
-// relies on.
+// TestAnswerCachePeekLeavesRecencyAlone: claiming a resident key must
+// not perturb the policy's eviction order — a demand ask reaches claim
+// only after its own touch, and a prefetch fill must not refresh an
+// entry it skips.
 func TestAnswerCachePeekLeavesRecencyAlone(t *testing.T) {
 	c := newLRUCache(2)
-	c.put("a", Answer{Text: "A"}, nil)
-	c.put("b", Answer{Text: "B"}, nil)
-	if ans, ok := c.peek("a"); !ok || ans.Text != "A" {
-		t.Fatalf("peek a = %+v, %v", ans, ok)
+	lockedPut(c, "a", Answer{Text: "A"}, nil)
+	lockedPut(c, "b", Answer{Text: "B"}, nil)
+	for _, prefetch := range []bool{false, true} {
+		if ans, call, _ := c.claim("a", prefetch); call != nil || ans.Text != "A" {
+			t.Fatalf("claim a (prefetch %v) = %+v, call %v; want the resident answer", prefetch, ans, call)
+		}
 	}
-	// "a" is still least recently used (peek did not bump it), so "c"
-	// evicts it.
-	c.put("c", Answer{Text: "C"}, nil)
-	if _, ok := c.peek("a"); ok {
-		t.Fatal("peek bumped recency: a survived eviction")
+	// "a" is still least recently used (claim did not bump it), so "c"
+	// evicts it and a claim of "a" now leads a new call.
+	lockedPut(c, "c", Answer{Text: "C"}, nil)
+	if _, _, lead := c.claim("a", false); !lead {
+		t.Fatal("claim bumped recency: a survived eviction")
 	}
-	if _, ok := c.peek("b"); !ok {
+	if _, call, _ := c.claim("b", false); call != nil {
 		t.Fatal("b evicted although a was older")
 	}
 }
@@ -87,8 +98,8 @@ func TestAnswerCachePeekLeavesRecencyAlone(t *testing.T) {
 // leaves the resident set untouched and counts a bypass.
 func TestAnswerCacheBypassingPolicy(t *testing.T) {
 	c := newAnswerCache(1, bypassAllWrap{newLRUList()}, false)
-	c.put("a", Answer{Text: "A"}, nil)
-	c.put("b", Answer{Text: "B"}, nil) // full: policy bypasses
+	lockedPut(c, "a", Answer{Text: "A"}, nil)
+	lockedPut(c, "b", Answer{Text: "B"}, nil) // full: policy bypasses
 	if _, ok := c.touch([]byte("a")); !ok {
 		t.Fatal("resident entry lost on a bypassed insert")
 	}
@@ -114,14 +125,17 @@ func (bypassAllWrap) VictimForPrefetch(string) (string, bool) { return "", true 
 // fill wasted — bypasses tracks declined demand insertions only.
 func TestAnswerCachePrefetchBypass(t *testing.T) {
 	c := newAnswerCache(1, bypassAllWrap{newLRUList()}, false)
-	c.put("a", Answer{Text: "A"}, nil)
-	if !c.putPrefetch("p", Answer{Text: "P"}, nil) {
-		t.Fatal("putPrefetch of an absent key reported no landing")
+	lockedPut(c, "a", Answer{Text: "A"}, nil)
+	_, call, lead := c.claim("p", true)
+	if !lead {
+		t.Fatal("prefetch claim of an absent key did not lead")
 	}
-	if _, ok := c.peek("p"); ok {
-		t.Fatal("bypassed prefetch fill was inserted anyway")
+	c.settle("p", call, Answer{Text: "P"}, nil, nil)
+	// Not resident, and the settled call is retired: a new claim leads.
+	if _, _, lead := c.claim("p", false); !lead {
+		t.Fatal("bypassed prefetch fill was inserted anyway, or its call was not retired")
 	}
-	if _, ok := c.peek("a"); !ok {
+	if _, call, _ := c.claim("a", false); call != nil {
 		t.Fatal("resident entry lost on a bypassed prefetch fill")
 	}
 	_, _, _, bypasses, entries := c.counters()
@@ -183,13 +197,13 @@ func TestAnswerCacheIndexLockstepAllPolicies(t *testing.T) {
 			for i := 0; i < 48; i++ {
 				key := fmt.Sprintf("q%d", i)
 				v := embed.Embed(key)
-				c.put(key, Answer{Text: key}, &v)
+				lockedPut(c, key, Answer{Text: key}, &v)
 				check("insert " + key)
 				if i%3 == 0 {
 					c.touch([]byte(fmt.Sprintf("q%d", i/2)))
 				}
 				if i%7 == 0 {
-					c.put(key, Answer{Text: key + "'"}, &v) // overwrite: no second vector
+					lockedPut(c, key, Answer{Text: key + "'"}, &v) // overwrite: no second vector
 					check("overwrite " + key)
 				}
 			}

@@ -58,7 +58,7 @@
 //	           embedding vectors (internal/embed), serving the best
 //	           neighbor at or above the threshold byte-identically;
 //	cold     — the retrieve→classify→generate pipeline, coalesced by
-//	           the single-flight table.
+//	           the cache shard's single-flight table.
 //
 // Response.Tier reports which tier served the answer (Cached is
 // derived: Tier != TierCold), with Response.Similarity carrying the
@@ -94,23 +94,23 @@
 //
 // CacheHits/CacheMisses count answered cache-routed asks, not raw map
 // probes: a hit is an ask served without running the pipeline (a
-// direct cache hit, a coalesced single-flight follower, or the cache
-// recheck before leading a flight), a miss is an ask that ran it.
+// direct cache hit, a coalesced single-flight follower, or an answer
+// found resident when claiming the key), a miss is an ask that ran it.
 // Canceled or failed asks and BypassCache asks count neither.
 //
 // # Sharding
 //
-// The engine's hot mutable state — the session table, the answer
-// cache, and the single-flight table — is split into Config.Shards
-// hash-keyed shards (default one per CPU), each behind its own mutex,
-// so concurrent asks only contend when they touch the same shard. A
-// cache key or session ID always hashes to the same shard, which keeps
-// answers byte-identical and hit/miss totals for a fixed ask sequence
-// independent of the shard count; eviction and compaction run per
-// shard over that shard's slice of the global MaxSessions/CacheSize
-// budgets (a budget smaller than the shard count clamps that table's
-// effective shard count, so the global bound holds exactly). See
-// shard.go for the full design note.
+// The engine's hot mutable state — the session table and the answer
+// cache, whose shards also hold the single-flight table — is split
+// into Config.Shards hash-keyed shards (default one per CPU), each
+// behind its own mutex, so concurrent asks only contend when they touch
+// the same shard. A cache key or session ID always hashes to the same
+// shard, which keeps answers byte-identical and hit/miss totals for a
+// fixed ask sequence independent of the shard count; eviction and
+// compaction run per shard over that shard's slice of the global
+// MaxSessions/CacheSize budgets (a budget smaller than the shard count
+// clamps that table's effective shard count, so the global bound holds
+// exactly). See shard.go for the full design note.
 //
 // # Allocation discipline
 //
@@ -124,8 +124,7 @@
 //
 //   - The (retriever, model, question) cache key is rendered into a
 //     pooled askScratch buffer (scratchPool) instead of a fresh string,
-//     and FNV-hashed exactly once per ask — the hash feeds every shard
-//     selection (cache and flight).
+//     and FNV-hashed exactly once per ask to select the cache shard.
 //   - The cache probe is a zero-copy map lookup on the scratch bytes
 //     (entries[string(key)] compiles without materializing the string),
 //     and the default LRU policy refreshes recency through the
@@ -228,11 +227,11 @@ type Config struct {
 	// most content words score ≈ 0.9, and unrelated suite questions
 	// score well below 0.8.
 	SemanticThreshold float64
-	// Shards is how many ways the session table, answer cache and
-	// single-flight table are each split (one mutex per shard). Values
-	// < 1 select DefaultShards(), one shard per CPU. Shards: 1
-	// reproduces the pre-sharding global-lock semantics exactly,
-	// including global eviction order. The MaxSessions and CacheSize
+	// Shards is how many ways the session table and the answer cache
+	// (which holds the single-flight table) are each split (one mutex
+	// per shard). Values < 1 select DefaultShards(), one shard per CPU.
+	// Shards: 1 reproduces the pre-sharding global-lock semantics
+	// exactly, including global eviction order. The MaxSessions and CacheSize
 	// budgets are divided across shards; a budget smaller than the
 	// shard count clamps that table's effective shard count (one entry
 	// per clamped shard), so the configured global bound is exact.
@@ -320,18 +319,14 @@ type Engine struct {
 	keyPrefix string
 
 	// Hot mutable state, hash-sharded (see shard.go): sessionShards is
-	// keyed by session ID; caches and flights are keyed by the cache
-	// key, so a given key's cache lookups and single-flight coalescing
-	// always land on the same shard. Each flight shard coalesces
-	// concurrent cache misses for one key slice, so N simultaneous
+	// keyed by session ID, caches by the cache key. Each cache shard
+	// also coalesces concurrent misses for its keys, so N simultaneous
 	// first-asks run one retrieval, not N. The session and cache tables
 	// may run with fewer shards than nshards when their entry budgets
 	// are smaller than the configured shard count (shardCount);
-	// ncacheShards is the cache count the ask path hashes with. The
-	// flight table has no budget and always runs at nshards.
+	// ncacheShards is the cache count the ask path hashes with.
 	sessionShards []*sessionShard
 	caches        []*answerCache // nil when caching is disabled
-	flights       []*flightShard
 	ncacheShards  int
 
 	// pf is the predictive prefetcher, nil unless Config.Prefetch is
@@ -433,15 +428,8 @@ func New(cfg Config) (*Engine, error) {
 		// is still a configuration error worth failing fast on.
 		return nil, err
 	}
-	// The flight table has no entry budget, so it always runs at the
-	// full shard count — a tiny CacheSize must not serialize unrelated
-	// cold misses onto one flight mutex.
 	if cfg.Prefetch.Enabled && caches == nil {
 		return nil, fmt.Errorf("engine: Prefetch requires caching (CacheSize >= 0)")
-	}
-	flights := make([]*flightShard, nshards)
-	for i := range flights {
-		flights[i] = newFlightShard()
 	}
 	e := &Engine{
 		store:         cfg.Store,
@@ -456,7 +444,6 @@ func New(cfg Config) (*Engine, error) {
 		keyPrefix:     retr.Name() + "\x00" + profile.ID + "\x00",
 		sessionShards: sessionShards,
 		caches:        caches,
-		flights:       flights,
 		ncacheShards:  ncache,
 	}
 	if cfg.Prefetch.Enabled {
@@ -489,20 +476,6 @@ func newEvictionPolicy(name string, capacity int, seed int64) (policy.CachePolic
 // are accepted by Config.CachePolicy but not listed, so iterating this
 // registry never runs one policy twice.
 func CachePolicies() []string { return policy.CacheNames() }
-
-// inflightCall is one in-progress uncached answer; followers wait on
-// done and share ans, or see err when the leader's context aborted the
-// pipeline (an aborted flight is never published to the cache).
-type inflightCall struct {
-	done chan struct{}
-	ans  Answer
-	err  error
-	// prefetch marks a flight led by the background prefetcher rather
-	// than a demand ask: demand followers coalescing onto it were
-	// served by speculative work, so they claim the entry's covered
-	// credit (see answerCache.coverFlight).
-	prefetch bool
-}
 
 // askScratch is the pooled per-ask scratch state: the cache-key bytes
 // the hot path builds, probes and (on a miss) materializes from.
@@ -568,11 +541,9 @@ func (e *Engine) Ask(ctx context.Context, req Request) (Response, error) {
 	e.questions.Add(1)
 
 	// Build the (retriever, model, question) key once, in pooled
-	// scratch, and hash it once — every shard selection below (cache
-	// and flight) derives from this hash instead of rehashing the key.
+	// scratch, and hash it once to pick the cache shard.
 	sc := scratchPool.Get().(*askScratch)
-	keyHash := fnv32a(e.cacheKey(sc, question))
-	shard := shardIndexHash(keyHash, e.ncacheShards)
+	shard := shardIndexHash(fnv32a(e.cacheKey(sc, question)), e.ncacheShards)
 
 	var (
 		ans  Answer
@@ -589,7 +560,7 @@ func (e *Engine) Ask(ctx context.Context, req Request) (Response, error) {
 		ans, err = e.pipeline(ctx, question)
 	} else {
 		// cachedAsk owns sc from here and returns it to the pool.
-		ans, tier, sim, err = e.cachedAsk(ctx, shard, keyHash, sc, question, req.Options)
+		ans, tier, sim, err = e.cachedAsk(ctx, shard, sc, question, req.Options)
 	}
 	if err != nil {
 		if IsCancellation(ErrorCode(err)) {
@@ -615,23 +586,25 @@ func (e *Engine) Ask(ctx context.Context, req Request) (Response, error) {
 // cachedAsk serves the question through the three-tier lookup of the
 // key's shard: the exact answer cache, then (when enabled and not
 // opted out) the semantic nearest-neighbor tier across all cache
-// shards, then the single-flight-coalesced cold pipeline. The loop
-// re-checks the cache after an aborted flight: when a leader's context
-// cancels mid-pipeline, its followers — whose own contexts may still
-// be live — retry and elect a new leader instead of inheriting the
-// cancellation, which keeps coalescing consistent without ever
-// publishing an aborted answer.
+// shards, then the single-flight-coalesced cold pipeline, joined or
+// led through the shard's claim and settle. The loop claims the key
+// again after an aborted call: when a leader's context cancels
+// mid-pipeline, its followers — whose own contexts may still be live —
+// retry and elect a new leader instead of inheriting the cancellation,
+// which keeps coalescing consistent without ever publishing an aborted
+// answer.
 //
 // Hit/miss accounting happens here, exactly once per answered ask: a
 // hit is an ask served without running the pipeline (direct cache hit,
-// semantic serve, coalesced follower, or a recheck before leading), a
-// miss is an ask whose pipeline ran to completion. Canceled and failed
-// asks count neither — they were never answered — so hits+misses always
-// equals the number of answered cache-routed asks, whatever the
-// interleaving of leaders, followers and aborts; the semantic tier
-// adds a second *kind* of hit, never a second count. Coalesced
-// followers and rechecks count as exact hits: they were served
-// under the byte-identical key, not by similarity.
+// semantic serve, coalesced follower, or an answer found resident at
+// claim), a miss is an ask whose pipeline ran to completion (counted by
+// settle, before the followers wake). Canceled and failed asks count
+// neither — they were never answered — so hits+misses always equals
+// the number of answered cache-routed asks, whatever the interleaving
+// of leaders, followers and aborts; the semantic tier adds a second
+// *kind* of hit, never a second count. Coalesced followers and answers
+// found at claim count as exact hits: they were served under the
+// byte-identical key, not by similarity.
 //
 // cachedAsk takes ownership of sc (the ask's key scratch): the exact-
 // hit fast path probes the cache straight from the pooled bytes and
@@ -640,12 +613,7 @@ func (e *Engine) Ask(ctx context.Context, req Request) (Response, error) {
 // retain it — and returns the scratch before any slow work runs.
 // (TestCachedAskAllocs measures the hit path's budget: 0 allocs per
 // NoMemory hit, with or without the semantic tier and the prefetcher.)
-func (e *Engine) cachedAsk(ctx context.Context, shard int, keyHash uint32, sc *askScratch, question string, opts Options) (Answer, CacheTier, float64, error) {
-	// The key's hash picks the cache shard and, independently, the
-	// flight shard (the two tables may run at different shard counts —
-	// the cache's is clamped by its entry budget, the flight table's
-	// never is), so every ask of one question still contends on exactly
-	// one lock pair no matter how many shards exist.
+func (e *Engine) cachedAsk(ctx context.Context, shard int, sc *askScratch, question string, opts Options) (Answer, CacheTier, float64, error) {
 	cache := e.caches[shard]
 
 	if ans, ok := cache.touch(sc.key); ok {
@@ -660,7 +628,6 @@ func (e *Engine) cachedAsk(ctx context.Context, shard int, keyHash uint32, sc *a
 	// ever being aliased past this ask.
 	key := string(sc.key)
 	putScratch(sc)
-	flight := e.flights[shardIndexHash(keyHash, len(e.flights))]
 
 	// Semantic tier: embed once per exact miss. The vector serves both
 	// the neighbor search here and, if this ask goes cold, the index
@@ -689,63 +656,42 @@ func (e *Engine) cachedAsk(ctx context.Context, shard int, keyHash uint32, sc *a
 		// Coalesce concurrent misses for the same key: one leader runs
 		// the pipeline, followers wait and share its answer (sound
 		// because answers are pure functions of the key).
-		flight.mu.Lock()
-		if c, ok := flight.inflight[key]; ok {
-			flight.mu.Unlock()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return Answer{}, TierCold, 0, ctxError(ctx)
-			}
-			if c.err == nil {
-				// Served without invoking the retriever: a coalesced
-				// follower is a hit — it was answered from shared work,
-				// not a pipeline run of its own.
-				cache.exactHits.Add(1)
-				if c.prefetch {
-					// The shared work was speculative: this demand ask
-					// would have been a miss without the prefetcher, so
-					// the entry's covered credit is claimed (once).
-					cache.coverFlight(key)
-				}
-				return c.ans, TierExact, 0, nil
-			}
-			// The leader aborted (its context canceled). Retry with a
-			// fresh cache check — a later leader may have published by
-			// now — unless this caller is itself done.
-			if err := ctxError(ctx); err != nil {
-				return Answer{}, TierCold, 0, err
-			}
-			continue
-		}
-		// No flight: recheck the cache before leading one. A leader
-		// publishes before it retires its flight, so an ask whose probe
-		// above ran before that publish, and whose flight check runs
-		// after that retire, finds the answer here instead of running
-		// the pipeline a second time.
-		if ans, ok := cache.peek(key); ok {
-			flight.mu.Unlock()
+		ans, call, lead := cache.claim(key, false)
+		if call == nil {
+			// Published (by a demand leader, a prefetch fill or an
+			// import) since the exact probe above.
 			cache.exactHits.Add(1)
 			return ans, TierExact, 0, nil
 		}
-		c := &inflightCall{done: make(chan struct{})}
-		flight.inflight[key] = c
-		flight.mu.Unlock()
-
-		ans, err := e.pipeline(ctx, question)
-		if err == nil {
-			// Publish to the cache before retiring the flight so late
-			// arrivals always find one or the other. An aborted
-			// pipeline is never published.
-			cache.put(key, ans, qvec)
-			cache.misses.Add(1)
+		if lead {
+			ans, err := e.pipeline(ctx, question)
+			cache.settle(key, call, ans, err, qvec)
+			return ans, TierCold, 0, err
 		}
-		c.ans, c.err = ans, err
-		flight.mu.Lock()
-		delete(flight.inflight, key)
-		flight.mu.Unlock()
-		close(c.done)
-		return ans, TierCold, 0, err
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			return Answer{}, TierCold, 0, ctxError(ctx)
+		}
+		if call.err == nil {
+			// Served without invoking the retriever: a coalesced
+			// follower is a hit — it was answered from shared work,
+			// not a pipeline run of its own.
+			cache.exactHits.Add(1)
+			if call.prefetch {
+				// The shared work was speculative: this demand ask
+				// would have been a miss without the prefetcher, so
+				// the entry's covered credit is claimed (once).
+				cache.coverFlight(key)
+			}
+			return call.ans, TierExact, 0, nil
+		}
+		// The leader aborted (its context canceled). Claim again — a
+		// later leader may have published by now — unless this caller
+		// is itself done.
+		if err := ctxError(ctx); err != nil {
+			return Answer{}, TierCold, 0, err
+		}
 	}
 }
 
@@ -1019,8 +965,8 @@ type Stats struct {
 	// CacheHits/CacheMisses count answered cache-routed asks (both zero
 	// when caching is disabled): a hit was served without running the
 	// pipeline (exact cache hit, semantic serve, coalesced single-
-	// flight follower, or recheck before leading), a miss ran it. Canceled/
-	// failed asks and BypassCache asks count neither, so Hits+Misses
+	// flight follower, or an answer found resident at claim), a miss ran
+	// it. Canceled/failed asks and BypassCache asks count neither, so Hits+Misses
 	// equals the number of answered asks that went through the cache.
 	// CacheHits is always CacheExactHits+CacheSemanticHits — the split
 	// preserves the total, it never re-counts.
@@ -1028,7 +974,7 @@ type Stats struct {
 	CacheMisses uint64
 	// CacheExactHits counts hits served under the byte-identical
 	// (retriever, model, question) key — including coalesced followers
-	// and rechecks before leading a flight, which ride the exact key.
+	// and answers found resident at claim, which ride the exact key.
 	CacheExactHits uint64
 	// CacheSemanticHits counts hits served by the semantic tier: a
 	// nearest cached neighbor at or above the effective threshold,

@@ -374,10 +374,10 @@ func TestConcurrentColdAsksCoalesce(t *testing.T) {
 
 // TestConcurrentAsksRunOnePipelinePerQuestion: callers asking the same
 // questions in the same order run the pipeline once per question. An
-// ask that misses the cache just before a leader publishes, and checks
-// the flight table just after that leader retires, must recheck the
-// cache rather than lead a second pipeline. The window is narrow, so
-// the run asks many questions.
+// ask that misses the cache just before a leader publishes, and claims
+// the key just after that leader retires its call, must find the
+// answer resident rather than lead a second pipeline. The window is
+// narrow, so the run asks many questions.
 func TestConcurrentAsksRunOnePipelinePerQuestion(t *testing.T) {
 	e := newEngine(t, engine.Config{})
 	const n, callers = 1000, 4

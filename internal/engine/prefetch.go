@@ -205,30 +205,20 @@ func (p *prefetcher) worker() {
 
 // fill speculatively answers one predicted question through the cold
 // pipeline and inserts the result as a low-priority prefetch fill. It
-// rides the same single-flight table as demand asks: a demand ask that
-// arrives mid-fill coalesces onto this flight (and is counted covered),
-// and a fill never races a demand leader for the same key. Fills run
-// under context.Background(): they are not on behalf of any request,
-// so no request's cancellation aborts them (the budget bounds them
-// instead).
+// leads through the same claim/settle pair as a demand ask: a question
+// already resident or in flight is skipped, a demand ask that arrives
+// mid-fill coalesces onto this call (and is counted covered), and a
+// fill never races a demand leader for the same key. Fills run under
+// context.Background(): they are not on behalf of any request, so no
+// request's cancellation aborts them (the budget bounds them instead).
 func (p *prefetcher) fill(question string) {
 	e := p.eng
 	key := e.keyPrefix + question
-	keyHash := fnv32a(key)
-	cache := e.caches[shardIndexHash(keyHash, e.ncacheShards)]
-	if _, ok := cache.peek(key); ok {
-		return // already resident; do not perturb recency
+	cache := e.caches[shardIndex(key, e.ncacheShards)]
+	_, call, lead := cache.claim(key, true)
+	if !lead {
+		return // already resident (recency untouched) or being computed
 	}
-	flight := e.flights[shardIndexHash(keyHash, len(e.flights))]
-	flight.mu.Lock()
-	if _, ok := flight.inflight[key]; ok {
-		flight.mu.Unlock()
-		return // a demand leader (or another fill) is already computing it
-	}
-	c := &inflightCall{done: make(chan struct{}), prefetch: true}
-	flight.inflight[key] = c
-	flight.mu.Unlock()
-
 	p.issued.Add(1)
 	var qvec *embed.Vector
 	if e.semThreshold > 0 {
@@ -236,21 +226,7 @@ func (p *prefetcher) fill(question string) {
 		qvec = &v
 	}
 	ans, err := e.pipeline(context.Background(), question)
-	if err == nil {
-		// Published before the flight retires, exactly like a demand
-		// leader, so late arrivals find one or the other. misses is NOT
-		// advanced: no demand ask ran a pipeline here.
-		if !cache.putPrefetch(key, ans, qvec) {
-			// The policy bypassed the insert (or the key landed while we
-			// computed): the work served nobody.
-			cache.wasted.Add(1)
-		}
-	}
-	c.ans, c.err = ans, err
-	flight.mu.Lock()
-	delete(flight.inflight, key)
-	flight.mu.Unlock()
-	close(c.done)
+	cache.settle(key, call, ans, err, qvec)
 }
 
 // close stops the workers. Idempotent; queued observations not yet

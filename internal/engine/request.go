@@ -29,8 +29,9 @@ type CacheTier string
 const (
 	// TierExact: the answer came from the answer cache under the
 	// byte-identical (retriever, model, question) key — including
-	// coalesced single-flight followers and post-abort peek serves,
-	// which were answered from work keyed by that exact triple.
+	// coalesced single-flight followers and answers found resident
+	// when claiming the key, which were answered from work keyed by
+	// that exact triple.
 	TierExact CacheTier = "exact"
 	// TierSemantic: no exact entry existed, but a cached question
 	// within the same (retriever, model) scope embedded close enough

@@ -8,17 +8,19 @@ import (
 
 // Sharding design note
 //
-// The engine's three mutable tables — the session map, the answer LRU,
-// and the single-flight table — were protected by single global mutexes
-// through PR 2, which serialized every ask no matter how many cores
-// served traffic. They are now each split into Config.Shards hash-keyed
-// shards with one lock per shard:
+// The engine's two mutable tables — the session map and the answer
+// cache — were once protected by single global mutexes, which
+// serialized every ask no matter how many cores served traffic. They
+// are now each split into Config.Shards hash-keyed shards with one lock
+// per shard:
 //
 //   - a cache key (retriever\x00model\x00question) always hashes to the
-//     same cache/flight shard, so whether a lookup hits, and which
-//     single-flight leader a concurrent miss joins, is independent of
-//     the shard count — hit/miss totals for any fixed ask sequence are
-//     identical at 1 shard and at N;
+//     same cache shard, which holds every state the key can be in
+//     (resident, prefetched, in flight or absent) under its one lock.
+//     Whether a lookup hits, and which single-flight leader a
+//     concurrent miss joins, is therefore independent of the shard
+//     count: hit/miss totals for any fixed ask sequence are identical
+//     at 1 shard and at N;
 //   - a session ID always hashes to the same session shard, so one
 //     session's turns stay totally ordered under that shard's lock
 //     exactly as before;
@@ -47,11 +49,10 @@ func shardIndex(key string, n int) int {
 	return shardIndexHash(fnv32a(key), n)
 }
 
-// fnv32a is the FNV-1a hash of key, generic over the two spellings the
-// ask path holds a key in (the pooled scratch bytes and the
-// materialized string), so the hash is computed once per ask and reused
-// for every shard selection — cache and flight — instead of rehashed
-// per table.
+// fnv32a is the FNV-1a hash of key, generic over the two spellings a
+// key is held in (the ask path's pooled scratch bytes and a
+// materialized string), so the ask path hashes its scratch bytes
+// without a conversion.
 func fnv32a[T string | []byte](key T) uint32 {
 	const (
 		offset32 = 2166136261
@@ -124,15 +125,4 @@ func newSessionShard(max int) *sessionShard {
 		byRecency: list.New(),
 		max:       max,
 	}
-}
-
-// flightShard owns one hash slice of the single-flight table:
-// in-progress uncached answers whose cache keys map here.
-type flightShard struct {
-	mu       sync.Mutex
-	inflight map[string]*inflightCall
-}
-
-func newFlightShard() *flightShard {
-	return &flightShard{inflight: map[string]*inflightCall{}}
 }

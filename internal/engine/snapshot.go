@@ -125,11 +125,11 @@ func (e *Engine) ExportCache() []CacheEntry {
 	var out []CacheEntry
 	for _, c := range e.caches {
 		c.mu.Lock()
-		for key, ans := range c.entries {
+		for key, ent := range c.entries {
 			out = append(out, CacheEntry{
 				Scope:    e.keyPrefix,
 				Question: key[len(e.keyPrefix):],
-				Answer:   ans,
+				Answer:   ent.ans,
 			})
 		}
 		c.mu.Unlock()
@@ -162,11 +162,12 @@ func (e *Engine) ImportCache(entries []CacheEntry) int {
 			v := embed.Embed(ent.Question)
 			vec = &v
 		}
-		c := e.caches[shardIndexHash(fnv32a(key), e.ncacheShards)]
-		c.put(key, ent.Answer, vec)
-		if _, ok := c.peek(key); ok {
+		c := e.caches[shardIndex(key, e.ncacheShards)]
+		c.mu.Lock()
+		if c.put(key, ent.Answer, vec) {
 			imported++
 		}
+		c.mu.Unlock()
 	}
 	return imported
 }
