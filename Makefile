@@ -24,9 +24,11 @@ servebench-test:
 	cd servebench && $(GO) vet ./... && $(GO) test ./...
 
 # One pass over every benchmark: the reproduction record plus the
-# serial/parallel build and evaluate pairs.
+# serial/parallel build and evaluate pairs, and the semantic-tier scan
+# kernel at 64, 128 and 256 resident entries.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+	$(GO) test -bench=BenchmarkIndexBestVec -benchtime=1x -run='^$$' ./internal/embed
 
 # fmt fails (listing the offending files) when anything is not
 # gofmt-clean, matching the CI check.
@@ -77,11 +79,13 @@ govulncheck:
 	fi
 
 # Short coverage-guided fuzz of the semantic parser (the surface
-# cachemindd exposes to untrusted HTTP input). FUZZTIME is overridable
-# for longer local campaigns.
+# cachemindd exposes to untrusted HTTP input), and of the semantic
+# scan's bit-identity with the Cosine loop. FUZZTIME is overridable for
+# longer local campaigns.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/nlu
+	$(GO) test -run='^$$' -fuzz=FuzzBestVecMatchesCosine -fuzztime=$(FUZZTIME) ./internal/embed
 
 # The CI perf gate: a short fixed-seed closed-loop load against an
 # in-process engine. Writes BENCH_loadgen.json (throughput, p50/p95/p99

@@ -80,12 +80,80 @@ func normalize(v Vector) Vector {
 // clamped to [-1, 1]: float32 rounding can push the dot of a vector
 // with itself a hair past 1, and callers treat the score as a true
 // cosine (e.g. comparing against a 1.0 threshold).
+//
+// Cosine is the reference definition of every score this package
+// returns. Scores, and through it the Index searches, compute the same
+// value bit for bit with a faster scan (see sparseQuery).
 func Cosine(a, b Vector) float64 {
 	var dot float64
 	for i := range a {
 		dot += float64(a[i]) * float64(b[i])
 	}
-	return math.Max(-1, math.Min(1, dot))
+	return clamp(dot)
+}
+
+func clamp(dot float64) float64 { return math.Max(-1, math.Min(1, dot)) }
+
+// sparseQuery is a query vector prepared for scanning many vectors: the
+// indices of its nonzero buckets, ascending, collected once per search.
+// A question's trigram embedding sets about a third of the Dim buckets,
+// so a scan over nz does a third of Cosine's multiply-adds.
+//
+// The scores are exactly Cosine's, bit for bit, for finite vectors:
+//   - every skipped term is float64(±0) times a finite float64, an
+//     exact ±0;
+//   - each accumulator starts at +0, and a round-to-nearest sum is -0
+//     only when both addends are -0, so it is never -0 and adding ±0
+//     leaves it unchanged;
+//   - the kept terms are added in ascending index, Cosine's order;
+//   - each term is written as Cosine writes it, acc += float64(q[k]) *
+//     float64(v[k]), so an architecture that fuses that form into one
+//     multiply-add fuses both the same way;
+//   - the same clamp is applied last.
+type sparseQuery struct {
+	q  *Vector
+	nz [Dim]uint8
+	n  int
+}
+
+func newSparseQuery(q *Vector) sparseQuery {
+	s := sparseQuery{q: q}
+	for k, x := range q {
+		if x != 0 {
+			s.nz[s.n] = uint8(k)
+			s.n++
+		}
+	}
+	return s
+}
+
+// scan sets dst[i] to the score of vecs[i] for every i < len(dst). It
+// scores four vectors per pass with four independent accumulators, so
+// the additions overlap instead of waiting on one chain. A final pass
+// short of four vectors repeats the last one in the spare lanes and
+// discards their scores.
+func (s *sparseQuery) scan(vecs []Vector, dst []float64) {
+	q, nz, last := s.q, s.nz[:s.n], len(dst)-1
+	for i := 0; i <= last; i += 4 {
+		a, b, c, d := &vecs[i], &vecs[min(i+1, last)], &vecs[min(i+2, last)], &vecs[min(i+3, last)]
+		var s0, s1, s2, s3 float64
+		for _, k := range nz {
+			s0 += float64(q[k]) * float64(a[k])
+			s1 += float64(q[k]) * float64(b[k])
+			s2 += float64(q[k]) * float64(c[k])
+			s3 += float64(q[k]) * float64(d[k])
+		}
+		out := [4]float64{clamp(s0), clamp(s1), clamp(s2), clamp(s3)}
+		copy(dst[i:], out[:])
+	}
+}
+
+// Scores sets dst[i] = Cosine(q, vecs[i]), bit for bit, for every
+// vector in vecs, through the sparse four-way scan. dst must be at
+// least len(vecs) long. It allocates nothing.
+func Scores(q *Vector, vecs []Vector, dst []float64) {
+	s := newSparseQuery(q)
+	s.scan(vecs, dst[:len(vecs)])
 }
 
 // Match is one retrieval hit from an Index.
@@ -166,9 +234,11 @@ func (ix *Index) Text(id string) (string, bool) {
 // cosine score with ties broken by id for determinism.
 func (ix *Index) TopK(query string, k int) []Match {
 	q := Embed(query)
+	scores := make([]float64, len(ix.vecs))
+	Scores(&q, ix.vecs, scores)
 	matches := make([]Match, len(ix.ids))
 	for i, id := range ix.ids {
-		matches[i] = Match{ID: id, Score: Cosine(q, ix.vecs[i])}
+		matches[i] = Match{ID: id, Score: scores[i]}
 	}
 	sort.Slice(matches, func(i, j int) bool {
 		if matches[i].Score != matches[j].Score {
@@ -182,28 +252,32 @@ func (ix *Index) TopK(query string, k int) []Match {
 	return matches[:k]
 }
 
-// Best returns the single best match, or ok=false for an empty index.
+// Best returns the single best match, or ok=false for an empty index:
+// the highest score, ties broken by the smallest id, as TopK ranks.
 func (ix *Index) Best(query string) (Match, bool) {
-	top := ix.TopK(query, 1)
-	if len(top) == 0 {
-		return Match{}, false
-	}
-	return top[0], true
+	return ix.BestVec(Embed(query))
 }
 
 // BestVec returns the single best match for a precomputed query vector
 // without sorting the whole candidate set — the nearest-neighbor probe
 // on the engine's semantic-tier miss path. Ties break by id, so the
-// result is independent of insertion (and swap-delete) order.
+// result is independent of insertion (and swap-delete) order. Each
+// score is Cosine(q, v) bit for bit (see sparseQuery), so the winner is
+// the one a Cosine loop picks; the scan allocates nothing.
 func (ix *Index) BestVec(q Vector) (Match, bool) {
 	if len(ix.ids) == 0 {
 		return Match{}, false
 	}
+	s := newSparseQuery(&q)
 	best := Match{Score: math.Inf(-1)}
-	for i, id := range ix.ids {
-		score := Cosine(q, ix.vecs[i])
-		if score > best.Score || (score == best.Score && id < best.ID) {
-			best = Match{ID: id, Score: score}
+	var buf [64]float64
+	for lo := 0; lo < len(ix.vecs); lo += len(buf) {
+		scores := buf[:min(len(buf), len(ix.vecs)-lo)]
+		s.scan(ix.vecs[lo:], scores)
+		for j, score := range scores {
+			if id := ix.ids[lo+j]; score > best.Score || (score == best.Score && id < best.ID) {
+				best = Match{ID: id, Score: score}
+			}
 		}
 	}
 	return best, true

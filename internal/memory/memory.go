@@ -118,11 +118,15 @@ func (c *Conversation) Recall(question string, k int) []string {
 	ms := make([]match, len(c.turns))
 	for i, t := range c.turns {
 		ms[i] = match{id: fmt.Sprintf("turn-%04d", i+1), turn: t}
-		if q != (embed.Vector{}) {
-			if i == len(c.vecs) {
-				c.vecs = append(c.vecs, embed.Embed(recallText(t)))
-			}
-			ms[i].score = embed.Cosine(q, c.vecs[i])
+	}
+	if q != (embed.Vector{}) {
+		for _, t := range c.turns[len(c.vecs):] {
+			c.vecs = append(c.vecs, embed.Embed(recallText(t)))
+		}
+		scores := make([]float64, len(c.vecs))
+		embed.Scores(&q, c.vecs, scores)
+		for i, s := range scores {
+			ms[i].score = s
 		}
 	}
 	sort.Slice(ms, func(i, j int) bool {
